@@ -7,7 +7,7 @@ might sit there, and separately replay an amplified copy of the overheard
 frame some delay later so the receiver locks onto the late copy.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,32 +91,6 @@ def plan_attack(
         replay_gain_db=gain_db,
         seed=seed,
         ts_ns=code_params.ts_ns,
-    )
-
-
-def redraw_injections(plan: AttackPlan, code_params: CodeParams, keep, seed: int) -> AttackPlan:
-    """Adaptive-policy hook: redraw the non-kept injections elsewhere.
-
-    keep is a boolean mask over the plan's injections. Kept pulses stay
-    put; the rest move to fresh distinct slots outside the kept set with
-    fresh phases. Off by default everywhere; provided for experiments with
-    adversaries that adapt between repeated rounds.
-    """
-    keep = np.asarray(keep, dtype=bool)
-    if keep.shape != plan.slots.shape:
-        raise ValueError("keep mask must match the plan's injections")
-    redo = int((~keep).sum())
-    free = np.setdiff1d(np.arange(code_params.n), plan.slots[keep])
-    if redo > len(free):
-        raise ValueError("not enough free slots to redraw into")
-    pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
-    new_slots = np.random.default_rng(pos_ss).choice(free, size=redo, replace=False)
-    new_phases = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=redo).astype(np.int8) - 1
-    return replace(
-        plan,
-        slots=np.concatenate([plan.slots[keep], new_slots]),
-        phases=np.concatenate([plan.phases[keep], new_phases]),
-        powers=np.concatenate([plan.powers[keep], plan.powers[~keep]]),
     )
 
 

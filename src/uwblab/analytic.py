@@ -28,10 +28,16 @@ from math import comb, exp, fsum, isinf, lgamma, log
 
 HALF_LOG = log(2.0)
 
+# _LOG_FACT[i] = lgamma(i + 1), grown on demand; a pure cache, so sharing it is safe
+_LOG_FACT = [0.0]
+
 
 def _log_choose(n: int, r: int) -> float:
     # caller guarantees 0 <= r <= n
-    return lgamma(n + 1) - lgamma(r + 1) - lgamma(n - r + 1)
+    table = _LOG_FACT
+    if n >= len(table):
+        table.extend(lgamma(i + 1) for i in range(len(table), 2 * n + 1))
+    return table[n] - table[r] - table[n - r]
 
 
 def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):

@@ -10,6 +10,12 @@ attack actually produces (the delayed amplified copy the acquisition locks
 onto, and the earlier authentic frame the adversary tried to cancel) and
 counts the runs where the receiver ends up accepting only the delayed copy.
 
+Every r-versus-r comparison goes through receiver.vote, the kernel the
+receiver itself uses; the evade game is one vote with the bins swapped.
+The simulated code occupies the first alpha slots. The code is uniform and
+independent of injections, signs and noise, so every slot is exchangeable
+and a fixed bin split has the same distribution as a secret one.
+
 Trials are chunked; chunk c of grid point k draws its generator from
 SeedSequence((base_seed, k, c)), so splitting a run across workers at chunk
 boundaries and summing counts reproduces the sequential result bit for bit.
@@ -23,7 +29,7 @@ import numpy as np
 from . import analytic
 from .channel import LinkModel, adversary_room, adversary_rx_power, worst_case_rx_power
 from .codec import CodeParams
-from .receiver import ReceiverConfig, compute_thresholds, Thresholds
+from .receiver import ReceiverConfig, Thresholds, compute_thresholds, vote
 
 CHUNK = 4096
 
@@ -96,48 +102,34 @@ def _chunks(trials: int):
         idx += 1
 
 
-def _sample_sums(rng, energies: np.ndarray, r: int) -> np.ndarray:
-    # uniform r-subset per row: take the r smallest of iid uniform keys
-    pick = np.argpartition(rng.random(energies.shape), r - 1, axis=1)[:, :r]
-    return np.take_along_axis(energies, pick, axis=1).sum(axis=1)
+def _injection_mask(rng, m: int, n: int, k: int) -> np.ndarray:
+    # k distinct uniform slots per row: the k smallest of iid uniform keys
+    mask = np.zeros((m, n), dtype=bool)
+    if k:
+        cols = np.argpartition(rng.random((m, n)), k - 1, axis=1)[:, :k]
+        np.put_along_axis(mask, cols, True, axis=1)
+    return mask
 
 
 def _evade_successes(cfg: TrialConfig, k: int) -> int:
-    """Single-comparison game at unit pulse power, noiseless."""
+    """Single-comparison game at unit pulse power, noiseless.
+
+    The empty bin wins when its sample sum strictly exceeds the pulse
+    bin's, which is one vote with the bins swapped.
+    """
     n, alpha = cfg.params.n, cfg.params.alpha
     r = cfg.receiver.r
     successes = 0
     for chunk_idx, m in _chunks(cfg.trials):
         rng = _chunk_rng(cfg.base_seed, k, chunk_idx)
-        cols = np.argpartition(rng.random((m, n)), alpha - 1, axis=1)
-        code_cols, beta_cols = cols[:, :alpha], cols[:, alpha:]
-        inj_mask = np.zeros((m, n), dtype=bool)
-        if k:
-            inj_cols = np.argpartition(rng.random((m, n)), k - 1, axis=1)[:, :k]
-            np.put_along_axis(inj_mask, inj_cols, True, axis=1)
-        hit = np.take_along_axis(inj_mask, code_cols, axis=1)
+        inj_mask = _injection_mask(rng, m, n, k)
+        hit = inj_mask[:, :alpha]
         # relative phase of a colliding injection: half cancel, half double
         cancels = rng.random((m, alpha)) < 0.5
         e_alpha = np.where(hit, np.where(cancels, 0.0, 4.0), 1.0)
-        e_beta = np.take_along_axis(inj_mask, beta_cols, axis=1).astype(np.float64)
-        agg_a = _sample_sums(rng, e_alpha, r)
-        agg_b = _sample_sums(rng, e_beta, r)
-        successes += int((agg_b > agg_a).sum())
+        e_beta = inj_mask[:, alpha:].astype(np.float64)
+        successes += int(vote(e_beta, e_alpha, r, 1, rng).sum())
     return successes
-
-
-def _vote_ratios(rng, energies, code_cols, beta_cols, cfg: ReceiverConfig) -> np.ndarray:
-    """Pass ratio of the repeated sample comparison, one row per trial."""
-    m = energies.shape[0]
-    passes = np.zeros(m, dtype=np.int64)
-    r = cfg.r
-    for _ in range(cfg.upsilon):
-        pa = np.argpartition(rng.random(code_cols.shape), r - 1, axis=1)[:, :r]
-        pb = np.argpartition(rng.random(beta_cols.shape), r - 1, axis=1)[:, :r]
-        ea = np.take_along_axis(energies, np.take_along_axis(code_cols, pa, axis=1), axis=1)
-        eb = np.take_along_axis(energies, np.take_along_axis(beta_cols, pb, axis=1), axis=1)
-        passes += ea.sum(axis=1) > eb.sum(axis=1)
-    return passes / cfg.upsilon
 
 
 def _attack_successes(cfg: TrialConfig, k: int) -> int:
@@ -157,19 +149,18 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
     sigma = math.sqrt(link.sigma_n2)
     thr = compute_thresholds(link, params, link.d1_m + link.d2_m)
     cut = rcfg.p_noise_threshold
+
+    def accepts(e, rng):
+        return vote(e[:, :alpha], e[:, alpha:], rcfg.r, rcfg.upsilon, rng) / rcfg.upsilon > cut
+
     successes = 0
     for chunk_idx, m in _chunks(cfg.trials):
         rng = _chunk_rng(cfg.base_seed, k, chunk_idx)
-        cols = np.argpartition(rng.random((m, n)), alpha - 1, axis=1)
-        code_cols, beta_cols = cols[:, :alpha], cols[:, alpha:]
-        signs = 2.0 * (rng.random((m, alpha)) < 0.5) - 1.0
         clean = np.zeros((m, n))
-        np.put_along_axis(clean, code_cols, signs * lam_w, axis=1)
-        injected = np.zeros((m, n))
-        if k:
-            inj_cols = np.argpartition(rng.random((m, n)), k - 1, axis=1)[:, :k]
-            inj_phases = 2.0 * (rng.random((m, k)) < 0.5) - 1.0
-            np.put_along_axis(injected, inj_cols, inj_phases * lam_adv, axis=1)
+        clean[:, :alpha] = (2.0 * (rng.random((m, alpha)) < 0.5) - 1.0) * lam_w
+        inj_mask = _injection_mask(rng, m, n, k)
+        inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
+        injected = np.where(inj_mask, inj_phases * lam_adv, 0.0)
 
         e_auth = (clean + injected + rng.normal(0.0, sigma, (m, n))) ** 2
         e_copy = (clean * gain + rng.normal(0.0, sigma, (m, n))) ** 2
@@ -179,10 +170,8 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         auth_plausible = (agg_auth >= thr.gamma_lower) & (agg_auth <= thr.gamma_upper)
         copy_plausible = (agg_copy >= thr.gamma_lower) & (agg_copy <= thr.gamma_upper)
 
-        auth_pass = _vote_ratios(rng, e_auth, code_cols, beta_cols, rcfg) > cut
-        copy_pass = _vote_ratios(rng, e_copy, code_cols, beta_cols, rcfg) > cut
-        hidden = ~(auth_plausible & auth_pass)
-        accepted_copy = copy_plausible & copy_pass
+        hidden = ~(auth_plausible & accepts(e_auth, rng))
+        accepted_copy = copy_plausible & accepts(e_copy, rng)
         successes += int((~exceeded & hidden & accepted_copy).sum())
     return successes
 
@@ -223,38 +212,23 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     Each trial is one backtracking candidate: a frame-length window of
     noise-only energies, gated by the thresholds and then put to the full
     repeated-sample vote. Noise energies are exchangeable across slots, so
-    a fixed bin split is statistically identical to a secret one. Votes
-    stop early once a candidate can no longer reach (or miss) the cut.
+    a fixed bin split is statistically identical to a secret one. Every
+    live candidate casts all upsilon votes: acceptance depends only on the
+    final pass count, and the vote kernel returns it directly.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha = params.n, params.alpha
     sigma = math.sqrt(link.sigma_n2)
     if thresholds is None:
         thresholds = compute_thresholds(link, params, link.d1_m + link.d2_m)
-    # strict ratio > cut with upsilon votes
-    pass_needed = math.floor(rcfg.p_noise_threshold * rcfg.upsilon) + 1
-    fail_allowed = rcfg.upsilon - pass_needed
     accepted = 0
     for chunk_idx, m in _chunks(cfg.trials):
         rng = _chunk_rng(cfg.base_seed, 0, chunk_idx)
         energies = rng.normal(0.0, sigma, (m, n)) ** 2
         agg = energies.sum(axis=1)
-        live = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
-        e_alpha = energies[live, :alpha]
-        e_beta = energies[live, alpha:]
-        passes = np.zeros(e_alpha.shape[0], dtype=np.int64)
-        fails = np.zeros_like(passes)
-        for _ in range(rcfg.upsilon):
-            if e_alpha.shape[0] == 0:
-                break
-            ok = _sample_sums(rng, e_alpha, rcfg.r) > _sample_sums(rng, e_beta, rcfg.r)
-            passes += ok
-            fails += ~ok
-            done = passes >= pass_needed
-            accepted += int(done.sum())
-            keep = ~done & (fails <= fail_allowed)
-            e_alpha, e_beta = e_alpha[keep], e_beta[keep]
-            passes, fails = passes[keep], fails[keep]
+        live = energies[(agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)]
+        passes = vote(live[:, :alpha], live[:, alpha:], rcfg.r, rcfg.upsilon, rng)
+        accepted += int((passes / rcfg.upsilon > rcfg.p_noise_threshold).sum())
     p_hat = accepted / cfg.trials
     lo, hi = wilson_interval(accepted, cfg.trials)
     return EstimateRow(

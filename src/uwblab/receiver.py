@@ -7,6 +7,8 @@ gamma_lower, not above the path-loss ceiling gamma_upper)? Do the slots that
 should hold pulses actually outshine the slots that should be empty
 (repeated random-sample comparison)? And is there an earlier copy of the
 same code on the timeline that the acquisition lock skipped (backtracking)?
+The second question is vote(), the package's one repeated-comparison
+kernel, which the Monte-Carlo estimators share.
 
 An aggregate above the ceiling is treated as a hard alarm: no honest channel
 can add energy, so surplus energy is evidence of injected pulses regardless
@@ -33,6 +35,8 @@ REASON_ENERGY = "energy_exceeded"
 REASON_TOF = "tof_mismatch"
 REASON_RANGE = "range_exceeded"
 
+VOTE_BLOCK = 1 << 18  # sampled slots per bin held at once by vote(): rows * upsilon * r
+
 
 @dataclass(frozen=True)
 class ReceiverConfig:
@@ -41,8 +45,7 @@ class ReceiverConfig:
     upsilon repeated sample comparisons vote on code presence; the vote
     ratio must exceed p_noise_threshold, set above what pure noise can
     reach. Backtracking steps backtrack_step_ns at a time over a window of
-    backtrack_window_ns. Candidates closer together than merge_precision_ns
-    count as one arrival (ranging hardware cannot tell them apart).
+    backtrack_window_ns.
     """
 
     r: int = 8
@@ -50,7 +53,6 @@ class ReceiverConfig:
     p_noise_threshold: float = 0.8
     backtrack_step_ns: float = 2.0
     backtrack_window_ns: float = 660.0
-    merge_precision_ns: float = 0.67
     rng_seed: int = 0
 
     def __post_init__(self):
@@ -148,33 +150,59 @@ def robust_code_verification(
     """
     energies = np.asarray(energies, dtype=np.float64)
     bin_alpha, bin_beta = bins(code)
-    if cfg.r > len(bin_alpha) or cfg.r > len(bin_beta):
-        raise ValueError("sample size exceeds a bin")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    ratio = float(
-        _vote_ratio_rows(energies[None, bin_alpha], energies[None, bin_beta], cfg, rng)[0]
-    )
+    passes = vote(energies[None, bin_alpha], energies[None, bin_beta], cfg.r, cfg.upsilon, rng)
+    ratio = float(passes[0]) / cfg.upsilon
     return ratio, ratio > cfg.p_noise_threshold
 
 
-def _vote_ratio_rows(e_alpha, e_beta, cfg: ReceiverConfig, rng) -> np.ndarray:
-    """Vote pass ratios for many candidates at once.
+def vote(e_alpha, e_beta, r: int, upsilon: int, rng) -> np.ndarray:
+    """Pass counts of upsilon repeated r-versus-r comparisons, one per row.
 
     e_alpha is (rows, alpha) pulse-bin energies, e_beta (rows, beta). Each
-    vote samples r columns per row without replacement (the r smallest of
-    iid uniform keys form a uniform r-subset) and passes on strictly
-    larger aggregate pulse energy.
+    vote draws a fresh uniform r-subset of each bin and passes when the
+    first bin's sum is strictly larger; ties fail. This is the one vote
+    kernel of the package: the receiver and every Monte-Carlo estimator
+    call it. Rows are processed in blocks of at most VOTE_BLOCK sampled
+    slots, so memory stays bounded however many rows come in.
     """
+    e_alpha = np.asarray(e_alpha, dtype=np.float64)
+    e_beta = np.asarray(e_beta, dtype=np.float64)
+    if not 1 <= r <= min(e_alpha.shape[1], e_beta.shape[1]):
+        raise ValueError("sample size exceeds a bin")
     rows = e_alpha.shape[0]
-    u = cfg.upsilon
-    keys_a = rng.random((rows, u, e_alpha.shape[1]))
-    keys_b = rng.random((rows, u, e_beta.shape[1]))
-    pick_a = np.argpartition(keys_a, cfg.r - 1, axis=2)[:, :, : cfg.r]
-    pick_b = np.argpartition(keys_b, cfg.r - 1, axis=2)[:, :, : cfg.r]
-    agg_a = np.take_along_axis(e_alpha[:, None, :], pick_a, axis=2).sum(axis=2)
-    agg_b = np.take_along_axis(e_beta[:, None, :], pick_b, axis=2).sum(axis=2)
-    return (agg_a > agg_b).sum(axis=1) / u
+    passes = np.empty(rows, dtype=np.int64)
+    step = max(1, VOTE_BLOCK // (upsilon * r))
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        agg_a = _subset_sums(e_alpha[lo:hi], r, upsilon, rng)
+        agg_b = _subset_sums(e_beta[lo:hi], r, upsilon, rng)
+        passes[lo:hi] = (agg_a > agg_b).sum(axis=1)
+    return passes
+
+
+def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
+    """(rows, upsilon) sums over fresh uniform r-subsets of each row's columns.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 1987), vectorised over rows and
+    votes: step i draws t uniform on 0..j with j = n - r + i and takes j
+    instead when t is already chosen. That is r integer draws per subset.
+    """
+    e = np.ascontiguousarray(e)
+    rows, n = e.shape
+    flat = e.ravel()
+    base = (np.arange(rows) * n)[:, None]
+    pick = np.empty((r, rows, upsilon), dtype=np.int64)
+    sums = np.zeros((rows, upsilon))
+    for i in range(r):
+        j = n - r + i
+        t = rng.integers(0, j + 1, size=(rows, upsilon))
+        if i:
+            t = np.where((pick[:i] == t).any(axis=0), j, t)
+        pick[i] = t
+        sums += flat[base + t]
+    return sums
 
 
 def backtrack_detect(
@@ -223,12 +251,9 @@ def backtrack_detect(
     ratios[plausible & ~voted] = 0.0
     if voted.any():
         bin_alpha, bin_beta = bins(code)
-        if cfg.r > len(bin_alpha) or cfg.r > len(bin_beta):
-            raise ValueError("sample size exceeds a bin")
         rows = energies[:scanned][voted]
-        ratios[voted] = _vote_ratio_rows(
-            rows[:, bin_alpha], rows[:, bin_beta], cfg, rng
-        )
+        passes = vote(rows[:, bin_alpha], rows[:, bin_beta], cfg.r, cfg.upsilon, rng)
+        ratios[voted] = passes / cfg.upsilon
 
     diag = dict(
         candidate_toas_ns=tuple(toas[:scanned]),
@@ -240,11 +265,7 @@ def backtrack_detect(
     accepted = toas[:scanned][np.nan_to_num(ratios, nan=-1.0) > cfg.p_noise_threshold]
     if len(accepted) == 0:
         return DetectionOutcome(verdict=VERDICT_NO_CODE, **diag)
-    # scan ran backward in time, so the earliest arrival is the last accept;
-    # anything within ranging precision of it merges into the same arrival
-    earliest = float(accepted.min())
-    merged = accepted[accepted - earliest < cfg.merge_precision_ns]
-    return DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(merged.min()), **diag)
+    return DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(accepted.min()), **diag)
 
 
 def outcome_to_csv(outcome: DetectionOutcome) -> str:

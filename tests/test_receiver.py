@@ -1,13 +1,18 @@
 """Thresholds, plausibility gating, code voting, and backtracking."""
 
 import dataclasses
+import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from uwblab import receiver
 from uwblab.adversary import plan_attack, replay_frame
 from uwblab.channel import (FrameTimeline, LinkModel, expected_rx_power,
-                            synthesize_rx, synthesize_timeline, unity_link)
+                            synthesize_rx, synthesize_timeline, unity_link,
+                            worst_case_rx_power)
 from uwblab.codec import CodeParams, code_from_line, generate_code
 from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
                              PLAUSIBILITY_PLAUSIBLE, REASON_ENERGY,
@@ -15,7 +20,7 @@ from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
                              ReceiverConfig, Thresholds, attack_plausibility,
                              backtrack_detect, compute_thresholds,
                              outcome_to_csv, robust_code_verification,
-                             slot_energies)
+                             slot_energies, vote)
 
 
 def small_params():
@@ -108,6 +113,93 @@ def test_vote_r_validation():
     code = code_from_line("1,0,-1,0", r=1)
     with pytest.raises(ValueError):
         robust_code_verification(np.zeros(4), code, ReceiverConfig(r=3))
+
+
+# integer energies keep every subset sum exact, so ties are real ties
+VOTE_ALPHA = np.array([[0.0, 0.0, 1.0, 3.0],   # whole-bin sums 4 > 3
+                       [0.0, 0.0, 0.0, 0.0],   # silence: every vote ties
+                       [1.0, 1.0, 0.0, 2.0]])  # whole-bin sums 4 = 4
+VOTE_BETA = np.array([[0.0, 1.0, 2.0, 0.0],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [2.0, 0.0, 1.0, 1.0]])
+
+
+def exact_pass_probability(e_alpha, e_beta, r):
+    """Share of all (pulse r-subset, empty r-subset) pairs that pass strictly."""
+    sums_a = [sum(c) for c in itertools.combinations(e_alpha, r)]
+    sums_b = [sum(c) for c in itertools.combinations(e_beta, r)]
+    wins = sum(a > b for a in sums_a for b in sums_b)
+    return wins / (len(sums_a) * len(sums_b))
+
+
+@pytest.mark.parametrize("block", [receiver.VOTE_BLOCK, 1])
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_vote_matches_exact_pass_probability(monkeypatch, r, block):
+    # block 1 puts every row in its own block
+    monkeypatch.setattr(receiver, "VOTE_BLOCK", block)
+    upsilon = 20000
+    passes = vote(VOTE_ALPHA, VOTE_BETA, r, upsilon, np.random.default_rng(5))
+    assert passes.shape == (3,)
+    for row, got in enumerate(passes):
+        p = exact_pass_probability(VOTE_ALPHA[row], VOTE_BETA[row], r)
+        se = math.sqrt(p * (1 - p) / upsilon)
+        assert abs(got / upsilon - p) <= 4 * se
+    if r == VOTE_ALPHA.shape[1]:
+        # whole bins on both sides: no randomness left
+        assert list(passes) == [upsilon, 0, 0]
+
+
+def test_vote_rejects_oversized_sample():
+    with pytest.raises(ValueError):
+        vote(np.zeros((2, 3)), np.zeros((2, 5)), 4, 10, np.random.default_rng(0))
+    assert vote(np.zeros((0, 3)), np.zeros((0, 5)), 2, 10, np.random.default_rng(0)).shape == (0,)
+
+
+# chi-square quantiles at 1 - 1e-6 for 4 and 9 degrees of freedom
+CHI2_CRIT = {4: 33.377, 9: 44.811}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_floyd_subsets_are_uniform(r):
+    # powers of two make each subset sum name its subset
+    e = np.array([[1.0, 2.0, 4.0, 8.0, 16.0]] * 10)
+    sums = receiver._subset_sums(e, r, 5000, np.random.default_rng(11)).astype(int).ravel()
+    subsets = [sum(2**i for i in c) for c in itertools.combinations(range(5), r)]
+    counts = np.array([np.count_nonzero(sums == s) for s in subsets])
+    assert counts.sum() == sums.size
+    expected = sums.size / len(subsets)
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    assert stat < CHI2_CRIT[len(subsets) - 1]
+
+
+def test_vote_memory_bounded_in_rows():
+    # 3.3e6 sampled slots per bin; held at once they would take over 40 MB
+    rng = np.random.default_rng(2)
+    e_alpha, e_beta = rng.random((4096, 16)), rng.random((4096, 16))
+    tracemalloc.start()
+    try:
+        vote(e_alpha, e_beta, 8, 100, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+def test_backtrack_memory_bounded_at_n600():
+    params = CodeParams(n=600, alpha=200, beta=400, r=8)
+    code = generate_code(params, seed=0)
+    link = LinkModel(d1_m=10.0, d2_m=0.0,
+                     sigma_n2=worst_case_rx_power(LinkModel(d1_m=10.0)) / 64.0)
+    tl = synthesize_timeline(code, link, noise_seed=1)
+    tracemalloc.start()
+    try:
+        out = backtrack_detect(tl, code, link, ReceiverConfig(), d_committed_m=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the bound has to hold with plenty of candidates put to the vote
+    assert np.count_nonzero(~np.isnan(out.pass_ratios)) >= 100
+    assert peak < 20e6
 
 
 def test_backtrack_honest_exact_toa():
