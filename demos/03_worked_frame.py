@@ -12,9 +12,9 @@ the same story with the power budget spelled out in physical units.
 import numpy as np
 
 from uwblab.adversary import AttackPlan
-from uwblab.channel import synthesize_rx, unity_link
+from uwblab.channel import synthesize_timeline, unity_link
 from uwblab.codec import code_from_line
-from uwblab.receiver import Thresholds, attack_plausibility, slot_energies
+from uwblab.receiver import Thresholds, attack_plausibility
 
 code = code_from_line("0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0")
 plan = AttackPlan(
@@ -22,14 +22,15 @@ plan = AttackPlan(
     phases=np.array((1, 1, -1, 1, -1, 1, -1, 1, -1, -1)),
     powers=np.ones(10),
 )
-signal = synthesize_rx(code, unity_link(), attack=plan)
-energies = slot_energies(signal)
+timeline = synthesize_timeline(code, unity_link(), attack=plan)
+received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]
+energies = received**2
 
 print("sent:     %s" % ",".join("%+d" % s for s in code.slots))
 injected = np.zeros(code.params.n, dtype=int)
 injected[plan.slots] = plan.phases
 print("injected: %s" % ",".join("%+d" % s if s else " 0" for s in injected))
-print("received: %s" % ",".join("%+d" % round(a) for a in signal.amplitudes))
+print("received: %s" % ",".join("%+d" % round(a) for a in received))
 print("energies: %s" % ",".join("%2d" % round(v) for v in energies))
 
 gamma_upper = 12.0  # 5 pulses at the claimed distance, small-integer units

@@ -19,11 +19,9 @@ from .channel import (
     SPEED_OF_LIGHT_M_PER_NS,
     FrameTimeline,
     LinkModel,
-    SlotSignal,
     adversary_room,
     expected_rx_power,
     path_loss_db,
-    synthesize_rx,
     synthesize_timeline,
     unity_link,
 )
@@ -38,7 +36,6 @@ from .receiver import (
     backtrack_detect,
     compute_thresholds,
     robust_code_verification,
-    slot_energies,
 )
 
 __version__ = "0.1.0"

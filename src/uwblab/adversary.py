@@ -17,22 +17,17 @@ from .channel import FrameTimeline
 
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
-    """k injected pulses (slot, phase, power) plus replay timing.
+    """k injected pulses (slot, phase, power).
 
     powers are receiver-referenced multipliers: 1.0 means the injected
     pulse arrives with the adversary's nominal received power, which the
     default policy keeps equal to the sender's so cancellation is exact.
-    replay_delay_ns must stay inside one slot spacing or the round-trip
-    bookkeeping would already give the replay away.
     """
 
     slots: np.ndarray
     phases: np.ndarray
     powers: np.ndarray
-    replay_delay_ns: float = 200.0
-    replay_gain_db: float = 6.0
     seed: int | None = None
-    ts_ns: float = 1000.0
 
     def __post_init__(self):
         slots = np.asarray(self.slots, dtype=np.int64)
@@ -46,8 +41,6 @@ class AttackPlan:
             raise ValueError("phases must be -1 or +1")
         if (powers < 0).any():
             raise ValueError("powers must be nonnegative")
-        if not 0 < self.replay_delay_ns < self.ts_ns:
-            raise ValueError("replay delay must lie strictly inside one slot spacing")
         for name, arr in (("slots", slots), ("phases", phases), ("powers", powers)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -60,8 +53,6 @@ class AttackPlan:
 def plan_attack(
     code_params: CodeParams,
     k: int,
-    delay_ns: float = 200.0,
-    gain_db: float = 6.0,
     power_policy=1.0,
     seed: int = 0,
 ) -> AttackPlan:
@@ -87,27 +78,28 @@ def plan_attack(
         slots=slots,
         phases=phases,
         powers=powers,
-        replay_delay_ns=delay_ns,
-        replay_gain_db=gain_db,
         seed=seed,
-        ts_ns=code_params.ts_ns,
     )
 
 
-def replay_frame(timeline: FrameTimeline, plan: AttackPlan) -> FrameTimeline:
+def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> FrameTimeline:
     """Add a delayed, amplified copy of the overheard authentic frame.
 
     The copy is the clean authentic frame (the adversary recorded it before
-    its own injections reached the receiver) scaled by the replay gain and
-    shifted by the replay delay. Acquisition lock moves to whichever frame
-    copy now holds the strongest pulse, the later copy winning ties.
+    its own injections reached the receiver) scaled by gain_db and shifted
+    by delay_ns. The delay must stay inside one slot spacing or the
+    round-trip bookkeeping would already give the replay away. Acquisition
+    lock moves to whichever frame copy now holds the strongest pulse, the
+    later copy winning ties.
     """
-    shift = int(round(plan.replay_delay_ns / timeline.tp_ns))
+    if not 0 < delay_ns < timeline.ts_ns:
+        raise ValueError("replay delay must lie strictly inside one slot spacing")
+    shift = int(round(delay_ns / timeline.tp_ns))
     copy_start = timeline.start_bin + shift
     copy_bins = timeline.slot_bins(copy_start)
     if copy_bins[-1] >= len(timeline.amplitudes):
         raise ValueError("timeline too short to hold the delayed copy")
-    gain = 10.0 ** (plan.replay_gain_db / 20.0)
+    gain = 10.0 ** (gain_db / 20.0)
     amps = timeline.amplitudes.copy()
     amps[copy_bins] += timeline.auth_slot_amps * gain
 

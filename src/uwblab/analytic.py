@@ -144,45 +144,13 @@ def p_inner(alpha: int, beta: int, r: int, k: int, x: int, g: int, exact: bool =
     return _p_inner_general(alpha, r, x, g, beta_tail, exact)
 
 
-def p_given_x(alpha: int, beta: int, r: int, k: int, x: int, exact: bool = False):
-    """Evasion probability given x injections landed in the pulse bin.
-
-    Averages p_inner over the binomial number of annihilations g (each of the
-    x in-bin injections cancels independently with probability 1/2).
-    """
-    _check_game(alpha, beta, r, k)
-    if not 0 <= x <= min(k, alpha) or k - x > beta:
-        raise ValueError("need 0 <= x <= min(k, alpha) and k - x <= beta")
-    beta_tail = _suffix_tail(_draw_pmf(k - x, beta - (k - x), r, exact), exact)
-    reduced = r == alpha
-    terms = []
-    for g in range(x + 1):
-        inner = (
-            _p_inner_reduced(alpha, x, g, beta_tail, exact)
-            if reduced
-            else _p_inner_general(alpha, r, x, g, beta_tail, exact)
-        )
-        if exact:
-            terms.append(Fraction(comb(x, g), 2**x) * inner)
-        else:
-            terms.append(exp(_log_choose(x, g) - x * HALF_LOG) * inner)
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
-
-
 def prob_evade_rcv(alpha: int, beta: int, r: int, k: int, exact: bool = False):
     """P that k random-sign injections make the empty bin outscore the pulse bin.
 
     This is the attacker's chance of surviving one code-verification
-    comparison when energy budgets are ignored (no headroom constraint).
+    comparison when energy budgets are ignored: prob_success at zeta = inf.
     """
-    _check_game(alpha, beta, r, k)
-    terms = []
-    for x in range(max(0, k - beta), min(k, alpha) + 1):
-        w = hypergeom(alpha, beta, x, k - x, exact)
-        if w == 0:
-            continue
-        terms.append(w * p_given_x(alpha, beta, r, k, x, exact))
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
+    return prob_success(alpha, beta, r, float("inf"), k, exact)
 
 
 def prob_success(
@@ -194,19 +162,21 @@ def prob_success(
     removed: a term survives only while k + 2x - 4g <= alpha (zeta - 1), the
     unit-power audit of the received aggregate against the threshold. zeta is
     the headroom ratio (budget over worst-case power); zeta = inf recovers
-    prob_evade_rcv.
+    prob_evade_rcv. Each x sums its binomial g-terms with its own fsum
+    before taking its hypergeometric weight.
     """
     _check_game(alpha, beta, r, k)
     if zeta < 0:
         raise ValueError("headroom ratio zeta must be >= 0")
     budget = None if isinf(zeta) else alpha * (zeta - 1.0)
+    reduced = r == alpha
     terms = []
     for x in range(max(0, k - beta), min(k, alpha) + 1):
         w = hypergeom(alpha, beta, x, k - x, exact)
         if w == 0:
             continue
         beta_tail = _suffix_tail(_draw_pmf(k - x, beta - (k - x), r, exact), exact)
-        reduced = r == alpha
+        g_terms = []
         for g in range(x + 1):
             if budget is not None and k + 2 * x - 4 * g > budget:
                 continue
@@ -216,9 +186,10 @@ def prob_success(
                 else _p_inner_general(alpha, r, x, g, beta_tail, exact)
             )
             if exact:
-                terms.append(w * Fraction(comb(x, g), 2**x) * inner)
+                g_terms.append(Fraction(comb(x, g), 2**x) * inner)
             else:
-                terms.append(w * exp(_log_choose(x, g) - x * HALF_LOG) * inner)
+                g_terms.append(exp(_log_choose(x, g) - x * HALF_LOG) * inner)
+        terms.append(w * (sum(g_terms, Fraction(0)) if exact else fsum(g_terms)))
     return sum(terms, Fraction(0)) if exact else fsum(terms)
 
 

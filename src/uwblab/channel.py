@@ -6,11 +6,6 @@ waveform shape never matters). Powers are dimensionless "power units";
 amplitudes are their signed square roots, so a reciprocal-phase pulse of
 matching power cancels an authentic pulse exactly and an equal-phase pulse
 doubles the amplitude (quadrupling the slot energy).
-
-Two time resolutions exist side by side: SlotSignal holds one amplitude per
-slot and is enough for threshold and code checks, while FrameTimeline keeps
-a dense amplitude train at pulse-width resolution so that delayed frame
-copies and backtracking offsets can be represented.
 """
 
 import math
@@ -118,21 +113,6 @@ def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class SlotSignal:
-    """Received frame at slot resolution: one signed amplitude per slot."""
-
-    amplitudes: np.ndarray
-    noise_seed: int | None = None
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
-        if amps.ndim != 1:
-            raise ValueError("amplitudes must be a flat vector")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def _tap_scale(taps, ts_ns: float) -> float:
     # post-cursor copies land inside the same integration window, so their
     # power piles onto the slot energy; fold that into one amplitude factor
@@ -144,40 +124,10 @@ def _tap_scale(taps, ts_ns: float) -> float:
     return math.sqrt(1.0 + extra)
 
 
-def synthesize_rx(
-    code: VerificationCode,
-    link: LinkModel,
-    attack=None,
-    noise_seed: int = 0,
-    taps=(),
-) -> SlotSignal:
-    """Superpose authentic frame, optional injections, and noise per slot.
-
-    The authentic pulse in slot i contributes slots[i] * sqrt(worst-case
-    power); each injection contributes phase * sqrt(power * adversary
-    received power) in its slot; every slot then gets an independent
-    N(0, sigma_n2) amplitude sample. Annihilation and amplification fall
-    out of plain amplitude addition.
-    """
-    n = code.params.n
-    amps = code.slots.astype(np.float64) * math.sqrt(worst_case_rx_power(link))
-    if attack is not None:
-        if len(attack.slots) and (attack.slots.min() < 0 or attack.slots.max() >= n):
-            raise ValueError("attack slots outside the frame")
-        adv = math.sqrt(adversary_rx_power(link))
-        amps[attack.slots] += attack.phases * np.sqrt(attack.powers) * adv
-    if taps:
-        amps = amps * _tap_scale(taps, code.params.ts_ns)
-    if link.sigma_n2 > 0:
-        rng = np.random.default_rng(noise_seed)
-        amps = amps + rng.normal(0.0, math.sqrt(link.sigma_n2), size=n)
-    return SlotSignal(amplitudes=amps, noise_seed=noise_seed)
-
-
-def signal_to_csv(signal: SlotSignal) -> str:
-    """CSV dump (slot_index, amplitude, energy) with a schema header."""
+def signal_to_csv(amplitudes) -> str:
+    """CSV dump (slot_index, amplitude, energy) of one frame's slot amplitudes."""
     lines = ["# schema=1", "slot_index,amplitude,energy"]
-    for i, a in enumerate(signal.amplitudes):
+    for i, a in enumerate(amplitudes):
         lines.append("%d,%.12g,%.12g" % (i, a, a * a))
     return "\n".join(lines) + "\n"
 
@@ -223,13 +173,20 @@ def synthesize_timeline(
     noise_seed: int = 0,
     lead_ns: float = 800.0,
     tail_ns: float = 1100.0,
+    taps=(),
 ) -> FrameTimeline:
     """Lay one received frame onto a dense timeline.
 
     The frame starts lead_ns into the record (its time of arrival), with
     tail_ns of extra record after it so a delayed copy of less than one
-    slot spacing still fits. Injections land on the authentic frame's slot
-    bins; every bin carries independent noise.
+    slot spacing still fits. The authentic pulse in slot i contributes
+    slots[i] * sqrt(worst-case power) at its slot bin; each injection adds
+    phase * sqrt(power * adversary received power) at the same bin, so
+    annihilation and amplification fall out of plain amplitude addition.
+    Multipath taps (delay_ns, atten_db) scale the authentic and injected
+    amplitudes by one factor before noise; every bin carries independent
+    N(0, sigma_n2) noise. One frame at slot resolution is
+    amplitudes[slot_bins(start_bin)].
     """
     params = code.params
     tp, ts = params.tp_ns, params.ts_ns
@@ -237,6 +194,7 @@ def synthesize_timeline(
     start_bin = int(round(lead_ns / tp))
     nbins = start_bin + params.n * stride + int(round(tail_ns / tp))
     auth = code.slots.astype(np.float64) * math.sqrt(worst_case_rx_power(link))
+    scale = _tap_scale(taps, ts)
 
     if link.sigma_n2 > 0:
         rng = np.random.default_rng(noise_seed)
@@ -244,11 +202,11 @@ def synthesize_timeline(
     else:
         amps = np.zeros(nbins)
     bins_at = start_bin + np.arange(params.n) * stride
-    amps[bins_at] += auth
+    amps[bins_at] += auth * scale
     if attack is not None:
         if len(attack.slots) and (attack.slots.min() < 0 or attack.slots.max() >= params.n):
             raise ValueError("attack slots outside the frame")
-        adv = math.sqrt(adversary_rx_power(link))
+        adv = math.sqrt(adversary_rx_power(link)) * scale
         amps[bins_at[attack.slots]] += attack.phases * np.sqrt(attack.powers) * adv
     return FrameTimeline(
         amplitudes=amps,

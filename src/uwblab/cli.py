@@ -19,7 +19,7 @@ from .channel import (
     adversary_room,
     path_loss_db,
     power_ratio,
-    synthesize_rx,
+    synthesize_timeline,
     unity_link,
 )
 from .codec import CodeParams, code_from_line
@@ -30,7 +30,6 @@ from .receiver import (
     ReceiverConfig,
     Thresholds,
     attack_plausibility,
-    slot_energies,
 )
 
 # the walk-through frame: 5 pulses over 18 slots, 10 random-phase
@@ -157,6 +156,8 @@ def cmd_simulate(args, config) -> int:
     metric = _resolve(args.metric, config, "metric", "evade", str)
     if r > alpha or r > beta:
         raise ValueError("sample size r cannot exceed either bin")
+    if args.validate and metric == "attack":
+        raise ValueError("no closed form matches the attack metric; --validate needs --metric evade")
     link = _link_from(args, config)
     params = CodeParams(n=alpha + beta, alpha=alpha, beta=beta, r=r)
     receiver = ReceiverConfig(
@@ -172,7 +173,6 @@ def cmd_simulate(args, config) -> int:
         trials=trials,
         base_seed=seed,
         metric=metric,
-        replay_delay_ns=_resolve(args.delay, config, "delay", 200.0, float),
         replay_gain_db=_resolve(args.gain, config, "gain", 6.0, float),
         receiver=receiver,
     )
@@ -182,12 +182,13 @@ def cmd_simulate(args, config) -> int:
     )
     _write(rows_to_csv(rows, header_extra=extra), args.out)
     if args.trace_out is not None:
+        delay = _resolve(args.delay, config, "delay", 200.0, float)
         session = run_session(
             params,
             link,
             seed=seed,
             k=ks[0],
-            replay_delay_ns=cfg.replay_delay_ns if metric == "attack" else 0.0,
+            replay_delay_ns=delay if metric == "attack" else 0.0,
             replay_gain_db=cfg.replay_gain_db,
             receiver=receiver,
         )
@@ -300,8 +301,9 @@ def cmd_example(args, config) -> int:
         phases=np.array(FIG_INJECT_PHASES),
         powers=np.ones(len(FIG_INJECT_SLOTS)),
     )
-    signal = synthesize_rx(code, unity_link(), attack=plan)
-    energies = slot_energies(signal)
+    timeline = synthesize_timeline(code, unity_link(), attack=plan)
+    received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]
+    energies = received**2
     aggregate = float(energies.sum())
     out.append("frame walk-through, scaled units (unit received pulses, noiseless):")
     out.append("  ceiling Gamma = alpha * lam_b^2 = %d * %.2g = %g units"
@@ -313,7 +315,7 @@ def cmd_example(args, config) -> int:
     )
     # unit amplitudes carry float residue from the back-solved transmit
     # powers; rounding only affects the printed rows
-    out.append("  received: " + ",".join("%g" % round(a, 9) for a in signal.amplitudes))
+    out.append("  received: " + ",".join("%g" % round(a, 9) for a in received))
     out.append("  energies: " + ",".join("%g" % round(v, 9) for v in energies))
     verdict = attack_plausibility(energies, Thresholds(0.0, gamma_worked))
     if verdict == PLAUSIBILITY_ENERGY_EXCEEDED:

@@ -155,16 +155,12 @@ def run_session(
         carries_attack = attacked and direction == 1
         plan = None
         if carries_attack and k > 0:
-            plan = plan_attack(params, k, delay_ns=replay_delay_ns, gain_db=replay_gain_db,
-                               seed=attack_seed)
+            plan = plan_attack(params, k, seed=attack_seed)
         timeline = synthesize_timeline(
             code, link, attack=plan, noise_seed=int(noise_seeds[direction])
         )
         if carries_attack:
-            replay_plan = plan if plan is not None else plan_attack(
-                params, 0, delay_ns=replay_delay_ns, gain_db=replay_gain_db, seed=attack_seed
-            )
-            timeline = replay_frame(timeline, replay_plan)
+            timeline = replay_frame(timeline, replay_delay_ns, replay_gain_db)
         outcome = backtrack_detect(timeline, code, link, receiver, d_committed_m=d_committed)
         state._log(f"frame {('challenge', 'response')[direction]}: {outcome.verdict}")
         outcomes.append(outcome)
@@ -172,9 +168,6 @@ def run_session(
             toa_offset_ns = outcome.toa_ns - timeline.start_bin * timeline.tp_ns
 
     for outcome in outcomes:
-        if outcome.verdict == VERDICT_ATTACK:
-            verification_phase(state, outcome)
-            return state
         if outcome.verdict != VERDICT_ACCEPTED:
             verification_phase(state, outcome)
             return state

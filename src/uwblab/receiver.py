@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import CodeParams, VerificationCode, bins
-from .channel import FrameTimeline, LinkModel, SlotSignal, expected_rx_power
+from .channel import FrameTimeline, LinkModel, expected_rx_power
 
 PLAUSIBILITY_NOISE = "noise"
 PLAUSIBILITY_PLAUSIBLE = "plausible"
@@ -111,11 +111,6 @@ def compute_thresholds(link: LinkModel, params: CodeParams, d_committed_m: float
     upper = params.alpha * (lam_b + noise_amp) ** 2 + params.beta * link.sigma_n2
     lower = (params.alpha + params.beta) * link.sigma_n2
     return Thresholds(gamma_lower=lower, gamma_upper=upper)
-
-
-def slot_energies(signal: SlotSignal) -> np.ndarray:
-    """Square-law detector output: per-slot energy, phase discarded."""
-    return signal.amplitudes**2
 
 
 def attack_plausibility(energies, thresholds: Thresholds) -> str:

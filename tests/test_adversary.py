@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwblab.adversary import AttackPlan, plan_attack, plan_to_csv, replay_frame
-from uwblab.channel import synthesize_rx, synthesize_timeline, unity_link
+from uwblab.channel import synthesize_timeline, unity_link
 from uwblab.codec import CodeParams, bins, generate_code
 
 
@@ -14,10 +14,17 @@ def test_plan_validation():
         AttackPlan(slots=(0, 0), phases=(1, 1), powers=(1.0, 1.0))
     with pytest.raises(ValueError):
         AttackPlan(slots=(0,), phases=(2,), powers=(1.0,))
+
+
+def test_replay_delay_inside_slot_spacing():
+    # a copy one full slot spacing late would already show in the round trip
+    code = generate_code(CodeParams(n=6, alpha=2, beta=4, r=1), seed=5)
+    tl = synthesize_timeline(code, unity_link(), noise_seed=0)
+    replay_frame(tl, 999.0, 6.0)
     with pytest.raises(ValueError):
-        AttackPlan(slots=(0,), phases=(1,), powers=(1.0,), replay_delay_ns=1000.0)
+        replay_frame(tl, 1000.0, 6.0)
     with pytest.raises(ValueError):
-        AttackPlan(slots=(0,), phases=(1,), powers=(1.0,), replay_delay_ns=0.0)
+        replay_frame(tl, 0.0, 6.0)
 
 
 def test_plan_attack_shape_and_determinism():
@@ -55,8 +62,8 @@ def test_annihilation_probability():
     trials = 100000
     for seed in range(trials):
         plan = plan_attack(params, k=2, seed=seed)  # both slots hit
-        sig = synthesize_rx(code, link, attack=plan, noise_seed=0)
-        cancelled += abs(sig.amplitudes[occ]) < 1e-12
+        tl = synthesize_timeline(code, link, attack=plan, noise_seed=0)
+        cancelled += abs(tl.amplitudes[tl.slot_bins(tl.start_bin)[occ]]) < 1e-12
     assert abs(cancelled / trials - 0.5) < 0.01
 
 
@@ -65,8 +72,7 @@ def test_replay_frame_copy_and_lock():
     code = generate_code(params, seed=5)
     tl = synthesize_timeline(code, unity_link(), noise_seed=0,
                              lead_ns=40.0, tail_ns=400.0)
-    plan = plan_attack(params, k=0, delay_ns=60.0, gain_db=6.0, seed=0)
-    replayed = replay_frame(tl, plan)
+    replayed = replay_frame(tl, 60.0, 6.0)
     shift = round(60.0 / 2.0)
     assert replayed.lock_bin == tl.start_bin + shift
     gain_amp = 10 ** (6.0 / 20.0)
@@ -84,8 +90,7 @@ def test_replay_without_gain_keeps_lock():
     code = generate_code(params, seed=5)
     tl = synthesize_timeline(code, unity_link(), noise_seed=0,
                              lead_ns=40.0, tail_ns=400.0)
-    plan = plan_attack(params, k=0, delay_ns=60.0, gain_db=-3.0, seed=0)
-    assert replay_frame(tl, plan).lock_bin == tl.start_bin
+    assert replay_frame(tl, 60.0, -3.0).lock_bin == tl.start_bin
 
 
 def test_plan_csv_schema():

@@ -1,4 +1,4 @@
-"""Path loss, link budget, and slot-level signal synthesis."""
+"""Path loss, link budget, and received-frame synthesis."""
 
 import math
 
@@ -8,7 +8,7 @@ import pytest
 from uwblab.adversary import AttackPlan
 from uwblab.channel import (LinkModel, adversary_room, adversary_rx_power,
                             expected_rx_power, path_loss_db, power_ratio,
-                            signal_to_csv, synthesize_rx, synthesize_timeline,
+                            signal_to_csv, synthesize_timeline,
                             unity_link, worst_case_rx_power)
 from uwblab.codec import CodeParams, code_from_line, generate_code
 
@@ -16,6 +16,12 @@ FIG_SENT = "0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0"
 FIG_RECEIVED = [1, 0, 0, 0, -1, -1, 2, -1, 1, 0, 0, -1, 2, 0, -1, 0, -1, -1]
 FIG_INJECT_SLOTS = (0, 1, 4, 6, 7, 8, 11, 12, 16, 17)
 FIG_INJECT_PHASES = (1, 1, -1, 1, -1, 1, -1, 1, -1, -1)
+
+
+def frame_amps(code, link, **kwargs):
+    """The authentic frame's slot amplitudes, read off its timeline."""
+    tl = synthesize_timeline(code, link, **kwargs)
+    return tl.amplitudes[tl.slot_bins(tl.start_bin)]
 
 
 def test_path_loss_values():
@@ -66,12 +72,12 @@ def test_link_model_powers():
     assert abs(adversary_rx_power(link) - 1.000310569e-06) < 1e-14
 
 
-def test_synthesize_rx_clean():
+def test_synthesize_timeline_clean():
     params = CodeParams(n=20, alpha=6, beta=14, r=6)
     code = generate_code(params, seed=1)
     link = unity_link()
-    sig = synthesize_rx(code, link, noise_seed=0)
-    assert np.allclose(sig.amplitudes, code.slots.astype(float), atol=1e-9)
+    amps = frame_amps(code, link, noise_seed=0)
+    assert np.allclose(amps, code.slots.astype(float), atol=1e-9)
 
 
 def test_unity_link_scale():
@@ -86,9 +92,9 @@ def test_figure_received_row():
     code = code_from_line(FIG_SENT)
     plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES,
                       powers=(1.0,) * 10)
-    sig = synthesize_rx(code, unity_link(), attack=plan, noise_seed=0)
-    assert np.allclose(sig.amplitudes, FIG_RECEIVED, atol=1e-9)
-    energies = sig.amplitudes ** 2
+    amps = frame_amps(code, unity_link(), attack=plan, noise_seed=0)
+    assert np.allclose(amps, FIG_RECEIVED, atol=1e-9)
+    energies = amps ** 2
     assert abs(float(energies.sum()) - 17.0) < 1e-9
 
 
@@ -100,17 +106,16 @@ def test_superposition_cases():
     cancel = AttackPlan(slots=(0,), phases=(-1,), powers=(1.0,))
     double = AttackPlan(slots=(0,), phases=(1,), powers=(1.0,))
     empty = AttackPlan(slots=(1,), phases=(1,), powers=(1.0,))
-    assert abs(synthesize_rx(code, link, cancel).amplitudes[0]) < 1e-9
-    assert abs(synthesize_rx(code, link, double).amplitudes[0] ** 2 - 4.0) < 1e-9
-    assert abs(synthesize_rx(code, link, empty).amplitudes[1] ** 2 - 1.0) < 1e-9
+    assert abs(frame_amps(code, link, attack=cancel)[0]) < 1e-9
+    assert abs(frame_amps(code, link, attack=double)[0] ** 2 - 4.0) < 1e-9
+    assert abs(frame_amps(code, link, attack=empty)[1] ** 2 - 1.0) < 1e-9
 
 
 def test_noise_statistics():
     params = CodeParams(n=4000, alpha=1000, beta=3000)
     code = generate_code(params, seed=2)
     link = unity_link(sigma_n2=0.25)
-    sig = synthesize_rx(code, link, noise_seed=5)
-    noise = sig.amplitudes - synthesize_rx(code, unity_link(), noise_seed=5).amplitudes
+    noise = frame_amps(code, link, noise_seed=5) - frame_amps(code, unity_link())
     assert abs(float(noise.mean())) < 0.05
     assert abs(float(noise.var()) - 0.25) < 0.02
 
@@ -118,14 +123,19 @@ def test_noise_statistics():
 def test_multipath_tap_folds_energy():
     code = code_from_line("1,0", r=1)
     link = unity_link()
-    sig = synthesize_rx(code, link, taps=((0.5, -3.0),))
+    # the injected pulse in the empty slot rides the same channel
+    inject = AttackPlan(slots=(1,), phases=(1,), powers=(1.0,))
+    amps = frame_amps(code, link, attack=inject, taps=((0.5, -3.0),))
     gain = 1.0 + 10 ** (-3.0 / 10.0)
-    assert abs(sig.amplitudes[0] ** 2 - gain) < 1e-9
+    assert abs(amps[0] ** 2 - gain) < 1e-9
+    assert abs(amps[1] ** 2 - gain) < 1e-9
+    with pytest.raises(ValueError):
+        synthesize_timeline(code, link, taps=((1500.0, -3.0),))
 
 
 def test_signal_csv_schema():
     code = code_from_line("1,0,-1", r=1)
-    text = signal_to_csv(synthesize_rx(code, unity_link()))
+    text = signal_to_csv(frame_amps(code, unity_link()))
     lines = text.strip().split("\n")
     assert lines[0] == "# schema=1"
     assert lines[1] == "slot_index,amplitude,energy"

@@ -80,6 +80,24 @@ def test_simulate_validate_agrees(capsys):
     assert err == ""
 
 
+ATTACK_ARGV = ("simulate", "--metric", "attack", "--alpha", "10", "--beta", "20",
+               "--r", "2", "--k", "5", "--trials", "200", "--seed", "1")
+
+
+def test_simulate_attack_has_no_overlay(capsys):
+    # no closed form plays the attack metric's game
+    code, out, _ = run_cli(capsys, *ATTACK_ARGV)
+    assert code == 0
+    assert out.strip().split("\n")[-1].split(",")[-1] == "nan"
+
+
+def test_simulate_attack_refuses_validate(capsys):
+    code, out, err = run_cli(capsys, *ATTACK_ARGV, "--validate")
+    assert code == 2
+    assert out == ""
+    assert "no closed form matches the attack metric" in err
+
+
 def test_simulate_trace_out(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     code, _, _ = run_cli(capsys, "simulate", "--metric", "evade",

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from uwblab import receiver
-from uwblab.adversary import plan_attack, replay_frame
+from uwblab.adversary import replay_frame
 from uwblab.channel import (FrameTimeline, LinkModel, expected_rx_power,
-                            synthesize_rx, synthesize_timeline, unity_link,
+                            synthesize_timeline, unity_link,
                             worst_case_rx_power)
 from uwblab.codec import CodeParams, code_from_line, generate_code
 from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
@@ -20,7 +20,7 @@ from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
                              ReceiverConfig, Thresholds, attack_plausibility,
                              backtrack_detect, compute_thresholds,
                              outcome_to_csv, robust_code_verification,
-                             slot_energies, vote)
+                             vote)
 
 
 def small_params():
@@ -65,9 +65,13 @@ def test_thresholds_ordering_enforced():
 
 
 def test_slot_energies_square_law():
+    # the detector squares each slot amplitude: a -1 pulse weighs like a +1
     code = code_from_line("1,0,-1", r=1)
-    sig = synthesize_rx(code, unity_link(), noise_seed=0)
-    assert np.allclose(slot_energies(sig), [1.0, 0.0, 1.0])
+    link = unity_link()
+    tl = synthesize_timeline(code, link, noise_seed=0)
+    cfg = ReceiverConfig(r=1, upsilon=10, backtrack_window_ns=0.0)
+    out = backtrack_detect(tl, code, link, cfg)
+    assert out.aggregates == pytest.approx((2.0,))
 
 
 def test_plausibility_boundaries():
@@ -82,7 +86,8 @@ def test_plausibility_boundaries():
 def test_vote_clean_code_is_certain():
     params = small_params()
     code = generate_code(params, seed=1)
-    energies = slot_energies(synthesize_rx(code, unity_link(), noise_seed=0))
+    tl = synthesize_timeline(code, unity_link(), noise_seed=0)
+    energies = tl.amplitudes[tl.slot_bins(tl.start_bin)] ** 2
     cfg = ReceiverConfig(r=2, upsilon=200)
     ratio, is_code = robust_code_verification(energies, code, cfg)
     assert ratio == 1.0 and is_code
@@ -219,8 +224,7 @@ def test_backtrack_finds_authentic_before_copy():
     code = generate_code(params, seed=2)
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=160.0)
-    plan = plan_attack(params, k=0, delay_ns=40.0, gain_db=3.0, seed=0)
-    replayed = replay_frame(tl, plan)
+    replayed = replay_frame(tl, 40.0, 3.0)
     assert replayed.lock_bin == tl.start_bin + 20
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
     out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5)
@@ -237,8 +241,7 @@ def test_backtrack_hot_copy_aborts():
     code = generate_code(params, seed=2)
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=160.0)
-    plan = plan_attack(params, k=0, delay_ns=40.0, gain_db=6.0, seed=0)
-    replayed = replay_frame(tl, plan)
+    replayed = replay_frame(tl, 40.0, 6.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
     out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5)
     assert out.verdict == VERDICT_ATTACK
