@@ -20,8 +20,8 @@ class AttackPlan:
     """k injected pulses (slot, phase, power).
 
     powers are receiver-referenced multipliers: 1.0 means the injected
-    pulse arrives with the adversary's nominal received power, which the
-    default policy keeps equal to the sender's so cancellation is exact.
+    pulse arrives with the adversary's nominal received power. plan_attack
+    draws unit powers.
     """
 
     slots: np.ndarray
@@ -53,31 +53,22 @@ class AttackPlan:
 def plan_attack(
     code_params: CodeParams,
     k: int,
-    power_policy=1.0,
     seed: int = 0,
 ) -> AttackPlan:
     """Draw an attack: k distinct uniform slots, independent random phases.
 
-    power_policy is either a constant received-power multiplier or a
-    callable (rng, k) -> array, for experiments with non-constant per-pulse
-    energy. Positions, phases and powers come from independent child
-    streams of the seed.
+    Positions and phases come from independent child streams of the seed;
+    every injection has unit power.
     """
     if not 0 <= k <= code_params.n:
         raise ValueError("cannot inject more pulses than there are slots")
-    pos_ss, phase_ss, power_ss = np.random.SeedSequence(seed).spawn(3)
+    pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
     slots = np.random.default_rng(pos_ss).choice(code_params.n, size=k, replace=False)
     phases = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=k).astype(np.int8) - 1
-    if callable(power_policy):
-        powers = np.asarray(power_policy(np.random.default_rng(power_ss), k), dtype=np.float64)
-        if powers.shape != (k,):
-            raise ValueError("power policy must return one power per injection")
-    else:
-        powers = np.full(k, float(power_policy))
     return AttackPlan(
         slots=slots,
         phases=phases,
-        powers=powers,
+        powers=np.ones(k),
         seed=seed,
     )
 

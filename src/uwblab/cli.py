@@ -2,13 +2,14 @@
 
 Everything prints CSV (first line `# schema=1`) or a plain-text report, so
 plots come from external tooling. A flat key=value config file can preload
-any flag's value; explicit flags win over the config, which wins over
-built-in defaults. Exit codes: 0 success, 1 validation failure, 2 usage or
-parameter error.
+any valued flag: each line `key = value` is parsed as the flag `--key=value`
+(underscores become dashes), and explicit flags win over it. Exit codes: 0
+success, 1 validation failure, 2 usage or parameter error.
 """
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -17,10 +18,13 @@ from .adversary import AttackPlan
 from .channel import (
     LinkModel,
     adversary_room,
+    adversary_rx_power,
+    expected_rx_power,
     path_loss_db,
     power_ratio,
     synthesize_timeline,
     unity_link,
+    worst_case_rx_power,
 )
 from .codec import CodeParams, code_from_line
 from .montecarlo import TrialConfig, run_grid, rows_to_csv
@@ -40,9 +44,20 @@ FIG_INJECT_PHASES = (1, 1, -1, 1, -1, 1, -1, 1, -1, -1)
 
 FORMULAS = ("pevade", "psa", "pnoise", "pdelta", "pthreshold")
 
+# link flag -> (LinkModel field, help); the field's default is the flag's
+LINK_FLAGS = {
+    "d1": ("d1_m", "true sender-receiver distance, m"),
+    "d2": ("d2_m", "distance the adversary adds, m"),
+    "d3": ("d3_m", "adversary-receiver distance, m"),
+    "e": ("e_db", "extra degradation of the authentic signal, dB"),
+    "p_sent": ("p_sent", "sender transmit power, power units"),
+    "p_adv_sent": ("p_adv_sent", "adversary transmit power, power units"),
+    "sigma_n2": ("sigma_n2", "receiver noise variance, power units"),
+}
 
-def load_config(path: str) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
+
+def load_config(path: str) -> list:
+    """Flat key=value file as the flags it names; blank lines and # comments ignored."""
     config = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -53,15 +68,7 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             config[key.strip()] = value.strip()
-    return config
-
-
-def _resolve(flag_value, config: dict, key: str, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return cast(config[key])
-    return default
+    return ["--%s=%s" % (key.replace("_", "-"), value) for key, value in config.items()]
 
 
 def _write(text: str, out: str | None):
@@ -72,66 +79,48 @@ def _write(text: str, out: str | None):
             fh.write(text)
 
 
-def _k_grid(args, config, n: int) -> list:
+def _k_grid(args, n: int) -> list:
     if args.k is not None:
         return [args.k]
-    k_min = _resolve(args.k_min, config, "k_min", 0, int)
-    k_max = _resolve(args.k_max, config, "k_max", n, int)
-    k_step = _resolve(args.k_step, config, "k_step", 1, int)
-    if k_step < 1 or k_max < k_min:
+    k_max = n if args.k_max is None else args.k_max
+    if args.k_step < 1 or k_max < args.k_min:
         raise ValueError("need k_step >= 1 and k_max >= k_min")
-    return list(range(k_min, k_max + 1, k_step))
+    return list(range(args.k_min, k_max + 1, args.k_step))
 
 
-def _link_from(args, config) -> LinkModel:
-    return LinkModel(
-        d1_m=_resolve(args.d1, config, "d1", 4.0, float),
-        d2_m=_resolve(args.d2, config, "d2", 4.5, float),
-        d3_m=_resolve(args.d3, config, "d3", 6.0, float),
-        e_db=_resolve(args.e, config, "e", -10.0, float),
-        p_sent=_resolve(args.p_sent, config, "p_sent", 7.67, float),
-        p_adv_sent=_resolve(args.p_adv_sent, config, "p_adv_sent", 15.77, float),
-        sigma_n2=_resolve(args.sigma_n2, config, "sigma_n2", 0.0, float),
-    )
+def _link_from(args) -> LinkModel:
+    return LinkModel(**{field: getattr(args, flag) for flag, (field, _) in LINK_FLAGS.items()})
 
 
-def cmd_analytic(args, config) -> int:
-    alpha = _resolve(args.alpha, config, "alpha", 50, int)
-    beta = _resolve(args.beta, config, "beta", 100, int)
-    r = _resolve(args.r, config, "r", 8, int)
+def cmd_analytic(args) -> int:
+    alpha, beta, r = args.alpha, args.beta, args.r
     lines = ["# schema=1", "# formula=" + args.formula, "k,p"]
     if args.formula in ("pevade", "psa"):
-        ks = _k_grid(args, config, alpha + beta)
-        for k in ks:
+        for k in _k_grid(args, alpha + beta):
             if args.formula == "pevade":
                 p = analytic.prob_evade_rcv(alpha, beta, r, k)
+            elif args.zeta is None:
+                raise ValueError("psa needs --zeta")
             else:
-                zeta = _resolve(args.zeta, config, "zeta", None, float)
-                if zeta is None:
-                    raise ValueError("psa needs --zeta")
-                p = analytic.prob_success(alpha, beta, r, zeta, k)
+                p = analytic.prob_success(alpha, beta, r, args.zeta, k)
             lines.append("%d,%.12g" % (k, p))
     elif args.formula == "pnoise":
-        if args.kappa is not None:
-            kappas = [args.kappa]
-        else:
-            kappas = _k_grid(args, config, alpha + beta)
+        kappas = [args.kappa] if args.kappa is not None else _k_grid(args, alpha + beta)
         for kappa in kappas:
             lines.append("%d,%.12g" % (kappa, analytic.prob_noise_pass(alpha, beta, r, kappa)))
-    elif args.formula == "pdelta":
-        n = _resolve(args.n, config, "n", alpha + beta, int)
-        k = args.k if args.k is not None else _resolve(None, config, "k", alpha, int)
-        for delta in range(0, k + 1):
-            lines.append(
-                "%d,%.12g" % (delta, analytic.appendix_prob_delta(n, alpha, k, delta))
-            )
     else:
-        n = _resolve(args.n, config, "n", alpha + beta, int)
-        k = args.k if args.k is not None else _resolve(None, config, "k", alpha, int)
-        gf = _resolve(args.gamma_factor, config, "gamma_factor", 1.0, float)
-        lines.append(
-            "%.12g,%.12g" % (gf, analytic.appendix_prob_within_threshold(n, alpha, k, gf))
-        )
+        n = alpha + beta if args.n is None else args.n
+        k = alpha if args.k is None else args.k
+        if args.formula == "pdelta":
+            for delta in range(0, k + 1):
+                lines.append(
+                    "%d,%.12g" % (delta, analytic.appendix_prob_delta(n, alpha, k, delta))
+                )
+        else:
+            gf = args.gamma_factor
+            lines.append(
+                "%.12g,%.12g" % (gf, analytic.appendix_prob_within_threshold(n, alpha, k, gf))
+            )
     _write("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -147,50 +136,36 @@ def _agreement_ok(rows) -> bool:
     return flagged <= max(0, len(rows) // 100)
 
 
-def cmd_simulate(args, config) -> int:
-    alpha = _resolve(args.alpha, config, "alpha", 50, int)
-    beta = _resolve(args.beta, config, "beta", 50, int)
-    r = _resolve(args.r, config, "r", 8, int)
-    trials = _resolve(args.trials, config, "trials", 100_000, int)
-    seed = _resolve(args.seed, config, "seed", 0, int)
-    metric = _resolve(args.metric, config, "metric", "evade", str)
+def cmd_simulate(args) -> int:
+    alpha, beta, r, metric = args.alpha, args.beta, args.r, args.metric
     if r > alpha or r > beta:
         raise ValueError("sample size r cannot exceed either bin")
     if args.validate and metric == "attack":
         raise ValueError("no closed form matches the attack metric; --validate needs --metric evade")
-    link = _link_from(args, config)
-    params = CodeParams(n=alpha + beta, alpha=alpha, beta=beta, r=r)
-    receiver = ReceiverConfig(
-        r=r,
-        upsilon=_resolve(args.upsilon, config, "upsilon", 100, int),
-        p_noise_threshold=_resolve(args.cut, config, "cut", 0.8, float),
-    )
-    ks = _k_grid(args, config, params.n)
     cfg = TrialConfig(
-        params=params,
-        link=link,
-        k_grid=tuple(ks),
-        trials=trials,
-        base_seed=seed,
+        link=_link_from(args),
+        params=CodeParams(n=alpha + beta, alpha=alpha, beta=beta, r=r),
+        receiver=ReceiverConfig(r=r, upsilon=args.upsilon, p_noise_threshold=args.cut),
+        k_grid=tuple(_k_grid(args, alpha + beta)),
+        trials=args.trials,
+        base_seed=args.seed,
         metric=metric,
-        replay_gain_db=_resolve(args.gain, config, "gain", 6.0, float),
-        receiver=receiver,
+        replay_gain_db=args.gain,
     )
     rows = run_grid(cfg)
     extra = "metric=%s alpha=%d beta=%d r=%d trials=%d seed=%d" % (
-        metric, alpha, beta, r, trials, seed,
+        metric, alpha, beta, r, args.trials, args.seed,
     )
     _write(rows_to_csv(rows, header_extra=extra), args.out)
     if args.trace_out is not None:
-        delay = _resolve(args.delay, config, "delay", 200.0, float)
         session = run_session(
-            params,
-            link,
-            seed=seed,
-            k=ks[0],
-            replay_delay_ns=delay if metric == "attack" else 0.0,
+            cfg.params,
+            cfg.link,
+            seed=args.seed,
+            k=cfg.k_grid[0],
+            replay_delay_ns=args.delay if metric == "attack" else 0.0,
             replay_gain_db=cfg.replay_gain_db,
-            receiver=receiver,
+            receiver=cfg.receiver,
         )
         _write(session_trace(session), args.trace_out)
     if args.validate and not _agreement_ok(rows):
@@ -203,10 +178,8 @@ VALIDATION_BETAS = (50, 150)
 VALIDATION_RS = (1, 2, 8)
 
 
-def cmd_validate(args, config) -> int:
+def cmd_validate(args) -> int:
     """Sweep the standard validation grid and check CI containment."""
-    trials = _resolve(args.trials, config, "trials", 100_000, int)
-    seed = _resolve(args.seed, config, "seed", 0, int)
     alpha = 50
     lines = [
         "# schema=1",
@@ -223,8 +196,8 @@ def cmd_validate(args, config) -> int:
             cfg = TrialConfig(
                 params=params,
                 k_grid=ks,
-                trials=trials,
-                base_seed=seed,
+                trials=args.trials,
+                base_seed=args.seed,
                 metric="evade",
                 receiver=ReceiverConfig(r=r),
             )
@@ -252,32 +225,23 @@ def cmd_validate(args, config) -> int:
     return 0
 
 
-def cmd_example(args, config) -> int:
+def cmd_example(args) -> int:
     """Walk the numbers of one enlargement scenario end to end."""
-    d1 = _resolve(args.d1, config, "d1", 4.0, float)
-    d2 = _resolve(args.d2, config, "d2", 4.5, float)
-    d3 = _resolve(args.d3, config, "d3", 6.0, float)
-    e_db = _resolve(args.e, config, "e", -10.0, float)
-    p_sent = _resolve(args.p_sent, config, "p_sent", 7.67, float)
-    p_adv = _resolve(args.p_adv_sent, config, "p_adv_sent", 15.77, float)
-    link = LinkModel(d1_m=d1, d2_m=d2, d3_m=d3, e_db=e_db, p_sent=p_sent, p_adv_sent=p_adv)
-
+    link = _link_from(args)
+    d1, d2, d3, e_db = link.d1_m, link.d2_m, link.d3_m, link.e_db
     committed = d1 + d2
-    ratio = power_ratio(committed)
-    lam_b2 = p_sent * ratio
-    lam_w2 = p_sent * power_ratio(d1, e_db)
-    lam_a2 = p_adv * power_ratio(d3, e_db)
-    out = []
-    out.append("distance enlargement walk-through")
+    lam_b2 = expected_rx_power(link.p_sent, committed)
+    out = ["distance enlargement walk-through"]
     out.append(
         "scenario: d1 = %g m true, d2 = %g m claimed extra, adversary at d3 = %g m, E = %g dB"
         % (d1, d2, d3, e_db)
     )
     out.append("path loss f(%g m) = %.4f dB" % (committed, path_loss_db(committed)))
-    out.append("power ratio 10^(f/10) = %.3g" % ratio)
+    out.append("power ratio 10^(f/10) = %.3g" % power_ratio(committed))
     out.append("best-case pulse power at the committed distance: %.5g power units" % lam_b2)
-    out.append("authentic pulse power actually arriving: %.5g power units" % lam_w2)
-    out.append("adversary pulse power arriving: %.5g power units" % lam_a2)
+    out.append("authentic pulse power actually arriving: %.5g power units"
+               % worst_case_rx_power(link))
+    out.append("adversary pulse power arriving: %.5g power units" % adversary_rx_power(link))
     r_db, zeta = adversary_room(d1, d2, e_db)
     if d2 == 0:
         out.append(
@@ -327,19 +291,22 @@ def cmd_example(args, config) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--config", default=None)
+    sub.add_argument("--seed", type=int, default=TrialConfig.base_seed, help="random seed")
+    sub.add_argument("--out", default=None, help="write the output here instead of stdout")
+    sub.add_argument("--config", default=None, help="file of `key = value` lines, one flag each")
 
 
 def _add_link_flags(sub):
-    sub.add_argument("--d1", type=float, default=None)
-    sub.add_argument("--d2", type=float, default=None)
-    sub.add_argument("--d3", type=float, default=None)
-    sub.add_argument("--e", type=float, default=None)
-    sub.add_argument("--p-sent", type=float, default=None)
-    sub.add_argument("--p-adv-sent", type=float, default=None)
-    sub.add_argument("--sigma-n2", type=float, default=None)
+    for flag, (field, text) in LINK_FLAGS.items():
+        sub.add_argument("--" + flag.replace("_", "-"), type=float,
+                         default=getattr(LinkModel, field), help=text)
+
+
+def _add_k_grid_flags(sub, k_help: str):
+    sub.add_argument("--k", type=int, default=None, help=k_help)
+    sub.add_argument("--k-min", type=int, default=0, help="first k of the grid")
+    sub.add_argument("--k-max", type=int, default=None, help="last k of the grid; n when unset")
+    sub.add_argument("--k-step", type=int, default=1, help="k grid spacing")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,49 +315,46 @@ def build_parser() -> argparse.ArgumentParser:
         description="energy-coded ranging laboratory: sweeps, simulations, walk-throughs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(subs.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p_an = subs.add_parser("analytic", help="evaluate probability formulas over a grid")
+    p_an = add_parser("analytic", help="evaluate probability formulas over a grid")
     p_an.add_argument("--formula", choices=FORMULAS, required=True)
-    p_an.add_argument("--alpha", type=int, default=None)
-    p_an.add_argument("--beta", type=int, default=None)
-    p_an.add_argument("--r", type=int, default=None)
-    p_an.add_argument("--zeta", type=float, default=None)
-    p_an.add_argument("--kappa", type=int, default=None)
-    p_an.add_argument("--k", type=int, default=None)
-    p_an.add_argument("--k-min", type=int, default=None)
-    p_an.add_argument("--k-max", type=int, default=None)
-    p_an.add_argument("--k-step", type=int, default=None)
-    p_an.add_argument("--n", type=int, default=None)
-    p_an.add_argument("--gamma-factor", type=float, default=None)
+    p_an.add_argument("--alpha", type=int, default=50, help="pulse slots")
+    p_an.add_argument("--beta", type=int, default=100, help="empty slots")
+    p_an.add_argument("--r", type=int, default=8, help="sample size per comparison")
+    p_an.add_argument("--zeta", type=float, default=None, help="energy budget (psa)")
+    p_an.add_argument("--kappa", type=int, default=None, help="one kappa instead of the k grid (pnoise)")
+    _add_k_grid_flags(p_an, "one k instead of a grid; alpha when unset (pdelta, pthreshold)")
+    p_an.add_argument("--n", type=int, default=None, help="frame slots; alpha + beta when unset")
+    p_an.add_argument("--gamma-factor", type=float, default=1.0, help="ceiling factor (pthreshold)")
     _add_common(p_an)
     p_an.set_defaults(func=cmd_analytic)
 
-    p_sim = subs.add_parser("simulate", help="Monte-Carlo estimates over a k grid")
-    p_sim.add_argument("--metric", choices=("evade", "attack"), default=None)
-    p_sim.add_argument("--alpha", type=int, default=None)
-    p_sim.add_argument("--beta", type=int, default=None)
-    p_sim.add_argument("--r", type=int, default=None)
-    p_sim.add_argument("--k", type=int, default=None)
-    p_sim.add_argument("--k-min", type=int, default=None)
-    p_sim.add_argument("--k-max", type=int, default=None)
-    p_sim.add_argument("--k-step", type=int, default=None)
-    p_sim.add_argument("--trials", type=int, default=None)
-    p_sim.add_argument("--upsilon", type=int, default=None)
-    p_sim.add_argument("--cut", type=float, default=None)
-    p_sim.add_argument("--delay", type=float, default=None)
-    p_sim.add_argument("--gain", type=float, default=None)
-    p_sim.add_argument("--validate", action="store_true")
-    p_sim.add_argument("--trace-out", default=None)
+    p_sim = add_parser("simulate", help="Monte-Carlo estimates over a k grid")
+    p_sim.add_argument("--metric", choices=("evade", "attack"), default=TrialConfig.metric,
+                       help="the game to estimate")
+    p_sim.add_argument("--alpha", type=int, default=50, help="pulse slots")
+    p_sim.add_argument("--beta", type=int, default=50, help="empty slots")
+    p_sim.add_argument("--r", type=int, default=8, help="sample size per comparison")
+    _add_k_grid_flags(p_sim, "one k instead of a grid")
+    p_sim.add_argument("--trials", type=int, default=TrialConfig.trials, help="trials per k")
+    p_sim.add_argument("--upsilon", type=int, default=ReceiverConfig.upsilon, help="sample votes")
+    p_sim.add_argument("--cut", type=float, default=ReceiverConfig.p_noise_threshold,
+                       help="vote ratio a candidate must exceed")
+    p_sim.add_argument("--delay", type=float, default=200.0, help="replay delay in the trace, ns")
+    p_sim.add_argument("--gain", type=float, default=TrialConfig.replay_gain_db, help="replay dB")
+    p_sim.add_argument("--validate", action="store_true", help="exit 1 unless the overlay agrees")
+    p_sim.add_argument("--trace-out", default=None, help="write one session trace here")
     _add_link_flags(p_sim)
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_val = subs.add_parser("validate", help="simulation vs analytic on the standard grid")
-    p_val.add_argument("--trials", type=int, default=None)
+    p_val = add_parser("validate", help="simulation vs analytic on the standard grid")
+    p_val.add_argument("--trials", type=int, default=TrialConfig.trials, help="trials per point")
     _add_common(p_val)
     p_val.set_defaults(func=cmd_validate)
 
-    p_ex = subs.add_parser("example", help="worked enlargement-detection walk-through")
+    p_ex = add_parser("example", help="worked enlargement-detection walk-through")
     _add_link_flags(p_ex)
     _add_common(p_ex)
     p_ex.set_defaults(func=cmd_example)
@@ -398,10 +362,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        if args.config:
+            # argv[0] is the subcommand; config flags go right after it and
+            # before the command-line flags, so that those win
+            args = parser.parse_args(argv[:1] + load_config(args.config) + argv[1:])
+        return args.func(args)
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

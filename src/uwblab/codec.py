@@ -90,14 +90,13 @@ def code_to_line(code: VerificationCode) -> str:
 
 def code_from_line(
     line: str,
-    ts_ns: float = 1000.0,
-    tp_ns: float = 2.0,
     r: int | None = None,
 ) -> VerificationCode:
     """Parse the one-line text form back into a code.
 
     alpha and beta are recovered from the content; r defaults to min(8, alpha)
-    since the text form does not carry the receiver's sample size.
+    since the text form does not carry the receiver's sample size. Slot
+    spacing and pulse width keep the CodeParams defaults.
     """
     try:
         values = [int(tok) for tok in line.strip().split(",")]
@@ -107,7 +106,5 @@ def code_from_line(
     alpha = int(np.count_nonzero(slots))
     if r is None:
         r = min(8, alpha)
-    params = CodeParams(
-        n=len(values), alpha=alpha, beta=len(values) - alpha, ts_ns=ts_ns, tp_ns=tp_ns, r=r
-    )
+    params = CodeParams(n=len(values), alpha=alpha, beta=len(values) - alpha, r=r)
     return VerificationCode(params=params, slots=slots)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from uwblab.analytic import appendix_prob_delta, prob_evade_rcv, prob_noise_pass
+from uwblab.analytic import appendix_prob_delta, prob_evade_rcv, prob_noise_pass, prob_success
 from uwblab.cli import _agreement_ok, main
 from uwblab.montecarlo import EstimateRow
 
@@ -30,12 +30,19 @@ def test_analytic_psa_needs_zeta(capsys):
     assert "error:" in err
 
 
-def test_analytic_psa_with_zeta(capsys):
+def test_analytic_psa_with_zeta(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analytic", "--formula", "psa",
                            "--alpha", "10", "--beta", "20", "--r", "2",
                            "--zeta", "5.0", "--k", "6")
     assert code == 0
     assert out.strip().split("\n")[-1].startswith("6,")
+    # a config line k = 4 is the flag --k=4: one row, not the whole k grid
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("k = 4\n")
+    code, out, _ = run_cli(capsys, "analytic", "--formula", "psa", "--zeta", "5",
+                           "--config", str(cfg))
+    assert code == 0
+    assert out.strip().split("\n")[3:] == ["4,%.12g" % prob_success(50, 100, 8, 5.0, 4)]
 
 
 def test_analytic_pnoise_single_kappa(capsys):
@@ -170,6 +177,32 @@ def test_bad_config_line_exits_2(tmp_path, capsys):
                            "--k", "1", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("line, argv, flag", [
+    ("alpha = ten", ("analytic", "--formula", "pevade"), "--alpha"),
+    ("upsilon = 5", ("analytic", "--formula", "pevade"), "--upsilon"),
+    ("validate = false", ("simulate", "--trials", "10"), "--validate"),
+])
+def test_config_line_is_parsed_as_its_flag(tmp_path, capsys, line, argv, flag):
+    # a bad value, a key the subcommand lacks and a switch all exit 2
+    cfg = tmp_path / "lab.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_example_config_link_flag_loses_to_explicit(tmp_path, capsys):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("d1 = 5\n")
+    code, out, _ = run_cli(capsys, "example", "--config", str(cfg))
+    assert code == 0
+    assert "scenario: d1 = 5 m true" in out
+    code, out, _ = run_cli(capsys, "example", "--config", str(cfg), "--d1", "6")
+    assert code == 0
+    assert "scenario: d1 = 6 m true" in out
 
 
 def test_parameter_errors_exit_2(capsys):

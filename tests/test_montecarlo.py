@@ -58,6 +58,16 @@ def test_evade_no_injection_never_wins():
     assert row.analytic_p == 0.0
 
 
+@pytest.mark.parametrize("link", [LinkModel(), LinkModel(d1_m=10.0, d2_m=5.0)])
+def test_attack_no_injection_noiseless_never_wins(link):
+    # without noise the authentic frame passes its own vote, so nothing
+    # hides it when no pulse is injected
+    params = CodeParams(n=150, alpha=50, beta=100, r=8)
+    cfg = TrialConfig(params=params, link=link, k_grid=(0,), trials=4000,
+                      metric="attack", receiver=ReceiverConfig(r=8))
+    assert run_grid(cfg)[0].successes == 0
+
+
 def test_evade_matches_analytic_within_4se():
     params = CodeParams(n=30, alpha=10, beta=20, r=2)
     cfg = TrialConfig(params=params, k_grid=(6, 15, 24), trials=40000,
