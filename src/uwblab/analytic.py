@@ -14,6 +14,11 @@ probabilities <= 1 throughout. With exact=True the same sums run over
 Fraction arithmetic on math.comb, which the tests use as a small-instance
 oracle. Both paths agree to ~1e-12 relative.
 
+prob_success sums over the attacker's annihilation count g inside each
+pulse-bin draw, by C(x,g) C(g,y1) C(x-g,y2) = C(x,y1+y2) C(y1+y2,y1)
+C(x-y1-y2,g-y1): the g-terms collapse to one Binomial(x-y1-y2, 1/2) tail,
+so a game costs O(r^2) draw terms per x rather than O(x r^2).
+
 Argument conventions:
     alpha  pulse slots, beta empty slots, n = alpha + beta
     r      slots sampled per bin by the receiver
@@ -24,6 +29,7 @@ Argument conventions:
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, exp, fsum, isinf, lgamma, log
 
 HALF_LOG = log(2.0)
@@ -78,6 +84,14 @@ def _prefix_cdf(pmf: list, exact: bool) -> list:
         acc = acc + p
         out.append(acc)
     return out
+
+
+@lru_cache(maxsize=4096)
+def _half_tail(n: int, j0: int, exact: bool):
+    # P(Binomial(n, 1/2) >= j0), for 0 < j0 <= n
+    if exact:
+        return Fraction(sum(comb(n, j) for j in range(j0, n + 1)), 2**n)
+    return fsum(exp(_log_choose(n, j) - n * HALF_LOG) for j in range(j0, n + 1))
 
 
 def _check_game(alpha: int, beta: int, r: int, k: int) -> None:
@@ -162,34 +176,40 @@ def prob_success(
     removed: a term survives only while k + 2x - 4g <= alpha (zeta - 1), the
     unit-power audit of the received aggregate against the threshold. zeta is
     the headroom ratio (budget over worst-case power); zeta = inf recovers
-    prob_evade_rcv. Each x sums its binomial g-terms with its own fsum
-    before taking its hypergeometric weight.
+    prob_evade_rcv. Summing g inside each pulse-bin draw (y1 zeros, y2 fours,
+    s = y1 + y2) by C(x,g) C(g,y1) C(x-g,y2) = C(x,s) C(s,y1) C(x-s,g-y1)
+    leaves P(Binomial(x-s, 1/2) >= g0 - y1), g0 the fewest annihilations the
+    audit passes: O(r^2) draw terms per x (O(x) at r = alpha), not O(x r^2).
     """
     _check_game(alpha, beta, r, k)
     if zeta < 0:
         raise ValueError("headroom ratio zeta must be >= 0")
     budget = None if isinf(zeta) else alpha * (zeta - 1.0)
-    reduced = r == alpha
+    log_cr = None if exact else _log_choose(alpha, r)
     terms = []
     for x in range(max(0, k - beta), min(k, alpha) + 1):
         w = hypergeom(alpha, beta, x, k - x, exact)
-        if w == 0:
+        g0 = 0 if budget is None else next(
+            (g for g in range(x + 1) if k + 2 * x - 4 * g <= budget), x + 1)
+        if w == 0 or g0 > x:
             continue
         beta_tail = _suffix_tail(_draw_pmf(k - x, beta - (k - x), r, exact), exact)
-        g_terms = []
-        for g in range(x + 1):
-            if budget is not None and k + 2 * x - 4 * g > budget:
-                continue
-            inner = (
-                _p_inner_reduced(alpha, x, g, beta_tail, exact)
-                if reduced
-                else _p_inner_general(alpha, r, x, g, beta_tail, exact)
-            )
-            if exact:
-                g_terms.append(Fraction(comb(x, g), 2**x) * inner)
-            else:
-                g_terms.append(exp(_log_choose(x, g) - x * HALF_LOG) * inner)
-        terms.append(w * (sum(g_terms, Fraction(0)) if exact else fsum(g_terms)))
+        draws = []
+        for s in range(max(0, r - alpha + x), min(r, x) + 1):
+            # the weight of s, as a log on the float path
+            ws = (Fraction(comb(x, s) * comb(alpha - x, r - s), 2**s * comb(alpha, r)) if exact
+                  else _log_choose(x, s) - s * HALF_LOG + _log_choose(alpha - x, r - s) - log_cr)
+            # the empty draw (at most r) must beat the pulse draw's
+            # r + 3s - 4 y1, and g - y1 must have room in [g0 - y1, x - s]
+            for y1 in range(max(3 * s // 4 + 1, g0 - x + s), s + 1):
+                tail = beta_tail[r + 3 * s + 1 - 4 * y1]
+                if tail == 0:
+                    continue
+                if g0 > y1:
+                    tail = tail * _half_tail(x - s, g0 - y1, exact)
+                draws.append(ws * comb(s, y1) * tail if exact
+                             else exp(ws + _log_choose(s, y1)) * tail)
+        terms.append(w * (sum(draws, Fraction(0)) if exact else fsum(draws)))
     return sum(terms, Fraction(0)) if exact else fsum(terms)
 
 

@@ -291,7 +291,6 @@ def cmd_example(args) -> int:
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=TrialConfig.base_seed, help="random seed")
     sub.add_argument("--out", default=None, help="write the output here instead of stdout")
     sub.add_argument("--config", default=None, help="file of `key = value` lines, one flag each")
 
@@ -346,11 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--validate", action="store_true", help="exit 1 unless the overlay agrees")
     p_sim.add_argument("--trace-out", default=None, help="write one session trace here")
     _add_link_flags(p_sim)
+    p_sim.add_argument("--seed", type=int, default=TrialConfig.base_seed, help="random seed")
     _add_common(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_val = add_parser("validate", help="simulation vs analytic on the standard grid")
     p_val.add_argument("--trials", type=int, default=TrialConfig.trials, help="trials per point")
+    p_val.add_argument("--seed", type=int, default=TrialConfig.base_seed, help="random seed")
     _add_common(p_val)
     p_val.set_defaults(func=cmd_validate)
 

@@ -28,7 +28,13 @@ def evade_probability(alpha: int, beta: int, r: int, k: int) -> Fraction:
     or doubles it (energy 4) with equal odds; on an empty slot it leaves
     energy 1. The receiver aggregates r uniform slots per bin.
     """
-    n = alpha + beta
+    return success_probability(alpha, beta, r, float("inf"), k)
+
+
+def success_probability(alpha: int, beta: int, r: int, zeta: float, k: int) -> Fraction:
+    """evade_probability with the energy audit: an outcome with c cancelled
+    pulses counts only while k + 2x - 4c <= alpha (zeta - 1), compared in
+    exact rationals (zeta = inf never audits)."""
     total = Fraction(0)
     for x in range(max(0, k - beta), min(k, alpha) + 1):
         w_x = _hyper(alpha, beta, x, k)
@@ -36,6 +42,8 @@ def evade_probability(alpha: int, beta: int, r: int, k: int) -> Fraction:
             continue
         ones_b = k - x
         for c in range(x + 1):
+            if zeta != float("inf") and k + 2 * x - 4 * c > alpha * (Fraction(zeta) - 1):
+                continue
             w_c = Fraction(comb(x, c), 2**x)
             # pulse bin now holds c zeros, x - c fours, alpha - x ones
             win = Fraction(0)

@@ -1,11 +1,15 @@
 """Closed-form probabilities against exact enumeration and frozen landmarks."""
 
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (evade_probability, literal_evade_probability,
-                     literal_noise_pass_probability, noise_pass_probability)
+                     literal_noise_pass_probability, noise_pass_probability,
+                     success_probability)
 from uwblab.analytic import (appendix_prob_delta, appendix_prob_within_threshold,
                              p_inner, prob_evade_rcv, prob_noise_pass,
                              prob_success)
@@ -102,6 +106,71 @@ def test_success_zeta_budget_gate():
     assert tight <= loose + 1e-15
     assert prob_success(20, 40, 4, 50.0, 30) == pytest.approx(
         prob_evade_rcv(20, 40, 4, 30), rel=1e-9)
+
+
+# alpha (zeta - 1) lands exactly on audit values k + 2x - 4g for some of
+# these, so the <= boundary of the budget is exercised
+BUDGET_ZETAS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, float("inf"))
+
+
+@cache
+def _budget_oracle() -> dict:
+    return {(a, b, r, z, k): success_probability(a, b, r, z, k)
+            for a in range(1, 7) for b in range(1, 7) for r in range(1, min(a, b) + 1)
+            for k in range(a + b + 1) for z in BUDGET_ZETAS}
+
+
+def test_success_matches_oracle_exactly():
+    for args, want in _budget_oracle().items():
+        assert prob_success(*args, exact=True) == want, args
+
+
+def test_success_float_path_tracks_oracle():
+    for args, want in _budget_oracle().items():
+        got = prob_success(*args)
+        assert abs(got - want) <= 1e-12 * want, args
+
+
+@st.composite
+def games(draw):
+    alpha = draw(st.integers(1, 12))
+    beta = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(alpha, beta)))
+    return alpha, beta, r, draw(st.integers(0, alpha + beta))
+
+
+ZETAS = st.one_of(st.floats(0.0, 8.0), st.just(float("inf")))
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@PROPERTY
+@given(games(), ZETAS)
+def test_success_never_beats_evade(game, zeta):
+    a, b, r, k = game
+    assert prob_success(a, b, r, zeta, k) <= prob_evade_rcv(a, b, r, k) + 1e-15
+
+
+@PROPERTY
+@given(games(), ZETAS, ZETAS)
+def test_success_monotone_in_zeta(game, z1, z2):
+    a, b, r, k = game
+    lo, hi = sorted((z1, z2))
+    assert prob_success(a, b, r, lo, k) <= prob_success(a, b, r, hi, k) + 1e-15
+
+
+@PROPERTY
+@given(games())
+def test_success_at_infinite_zeta_is_evade(game):
+    a, b, r, k = game
+    assert prob_success(a, b, r, float("inf"), k) == prob_evade_rcv(a, b, r, k)
+
+
+@PROPERTY
+@given(games(), ZETAS)
+def test_success_float_path_tracks_exact_path(game, zeta):
+    a, b, r, k = game
+    exact = prob_success(a, b, r, zeta, k, exact=True)
+    assert abs(prob_success(a, b, r, zeta, k) - exact) <= 1e-12 * exact
 
 
 def test_appendix_normalization():

@@ -219,3 +219,9 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # only simulate and validate draw random numbers, so only they take --seed
+    for argv in (["analytic", "--formula", "pevade", "--seed", "1"], ["example", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
