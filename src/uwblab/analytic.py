@@ -61,12 +61,13 @@ def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):
     )
 
 
-def _draw_pmf(hit: int, miss: int, r: int, exact: bool) -> list:
+@lru_cache(maxsize=4096)
+def _draw_pmf(hit: int, miss: int, r: int, exact: bool) -> tuple:
     """pmf of the number of hit slots in an r-draw from hit+miss slots."""
-    return [hypergeom(hit, miss, i, r - i, exact) for i in range(r + 1)]
+    return tuple(hypergeom(hit, miss, i, r - i, exact) for i in range(r + 1))
 
 
-def _suffix_tail(pmf: list, exact: bool) -> list:
+def _suffix_tail(pmf: tuple, exact: bool) -> list:
     """tail[m] = P(count >= m); tail has length len(pmf)+1, tail[-1] = 0."""
     zero = Fraction(0) if exact else 0.0
     tail = [zero] * (len(pmf) + 1)
@@ -75,7 +76,7 @@ def _suffix_tail(pmf: list, exact: bool) -> list:
     return tail
 
 
-def _prefix_cdf(pmf: list, exact: bool) -> list:
+def _prefix_cdf(pmf: tuple, exact: bool) -> list:
     """cdf[y] = P(count <= y)."""
     zero = Fraction(0) if exact else 0.0
     out = []

@@ -93,41 +93,40 @@ def _chunk_rng(base_seed: int, k: int, chunk_idx: int) -> np.random.Generator:
 
 
 def _chunks(trials: int):
-    done = 0
-    idx = 0
-    while done < trials:
+    for idx, done in enumerate(range(0, trials, CHUNK)):
         yield idx, min(CHUNK, trials - done)
-        done += CHUNK
-        idx += 1
 
 
 def _injection_mask(rng, m: int, alpha: int, beta: int, k: int) -> np.ndarray:
     # k distinct uniform slots per row. Only the count x landing in the
     # pulse bin matters: slots within a bin are exchangeable and the vote
     # and gate are permutation-invariant, so hit the first x pulse slots
-    # and the first k - x empty ones
+    # and the first k - x empty ones, filling each bin's columns in place
     x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
-    cols = np.arange(alpha + beta)
-    return np.where(cols < alpha, cols < x, cols - alpha < k - x)
+    mask = np.empty((m, alpha + beta), dtype=bool)
+    np.less(np.arange(alpha), x, out=mask[:, :alpha])
+    np.less(np.arange(beta), k - x, out=mask[:, alpha:])
+    return mask
 
 
 def _evade_successes(cfg: TrialConfig, k: int) -> int:
     """Single-comparison game at unit pulse power, noiseless.
 
     The empty bin wins when its sample sum strictly exceeds the pulse
-    bin's, which is one vote with the bins swapped.
+    bin's, which is one vote with the bins swapped. Both bins' rows are
+    built from _injection_mask's count x, with no mask in between.
     """
     alpha, beta = cfg.params.alpha, cfg.params.beta
     r = cfg.receiver.r
     successes = 0
     for chunk_idx, m in _chunks(cfg.trials):
         rng = _chunk_rng(cfg.base_seed, k, chunk_idx)
-        inj_mask = _injection_mask(rng, m, alpha, beta, k)
-        hit = inj_mask[:, :alpha]
-        # relative phase of a colliding injection: half cancel, half double
-        cancels = rng.random((m, alpha)) < 0.5
-        e_alpha = np.where(hit, np.where(cancels, 0.0, 4.0), 1.0)
-        e_beta = inj_mask[:, alpha:].astype(np.float64)
+        x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
+        # relative phase of a colliding injection: half double (energy 4),
+        # half cancel (0); the alpha - x pulse slots not hit keep energy 1
+        e_alpha = np.multiply(rng.random((m, alpha)) >= 0.5, 4.0)
+        np.copyto(e_alpha, 1.0, where=np.arange(alpha) >= x)
+        e_beta = (np.arange(beta) < k - x).astype(np.float64)
         successes += int(vote(e_beta, e_alpha, r, 1, rng).sum())
     return successes
 
@@ -160,10 +159,13 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         clean[:, :alpha] = (2.0 * (rng.random((m, alpha)) < 0.5) - 1.0) * lam_w
         inj_mask = _injection_mask(rng, m, alpha, params.beta, k)
         inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
-        injected = np.where(inj_mask, inj_phases * lam_adv, 0.0)
-
-        e_auth = (clean + injected + rng.normal(0.0, sigma, (m, n))) ** 2
-        e_copy = (clean * gain + rng.normal(0.0, sigma, (m, n))) ** 2
+        # energies square (amplitudes + noise) in place, noise drawn auth first
+        e_auth = clean + np.where(inj_mask, inj_phases * lam_adv, 0.0)
+        e_auth += rng.normal(0.0, sigma, (m, n))
+        np.square(e_auth, out=e_auth)
+        e_copy = clean * gain
+        e_copy += rng.normal(0.0, sigma, (m, n))
+        np.square(e_copy, out=e_copy)
         agg_auth = e_auth.sum(axis=1)
         agg_copy = e_copy.sum(axis=1)
         exceeded = (agg_auth > thr.gamma_upper) | (agg_copy > thr.gamma_upper)
@@ -192,17 +194,8 @@ def run_grid(cfg: TrialConfig) -> list[EstimateRow]:
             ref = float("nan")
         p_hat = successes / cfg.trials
         lo, hi = wilson_interval(successes, cfg.trials)
-        rows.append(
-            EstimateRow(
-                k=k,
-                trials=cfg.trials,
-                successes=successes,
-                p_hat=p_hat,
-                ci_low=lo,
-                ci_high=hi,
-                analytic_p=ref,
-            )
-        )
+        rows.append(EstimateRow(k=k, trials=cfg.trials, successes=successes, p_hat=p_hat,
+                                ci_low=lo, ci_high=hi, analytic_p=ref))
     return rows
 
 
@@ -224,10 +217,11 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     accepted = 0
     for chunk_idx, m in _chunks(cfg.trials):
         rng = _chunk_rng(cfg.base_seed, 0, chunk_idx)
-        energies = rng.normal(0.0, sigma, (m, n)) ** 2
+        energies = rng.normal(0.0, sigma, (m, n))
+        np.square(energies, out=energies)
         agg = energies.sum(axis=1)
-        live = energies[(agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)]
-        passes = vote(live[:, :alpha], live[:, alpha:], rcfg.r, rcfg.upsilon, rng)
+        live = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
+        passes = vote(energies[live, :alpha], energies[live, alpha:], rcfg.r, rcfg.upsilon, rng)
         accepted += int((passes / rcfg.upsilon > rcfg.p_noise_threshold).sum())
     p_hat = accepted / cfg.trials
     lo, hi = wilson_interval(accepted, cfg.trials)

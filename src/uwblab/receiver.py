@@ -35,7 +35,9 @@ REASON_ENERGY = "energy_exceeded"
 REASON_TOF = "tof_mismatch"
 REASON_RANGE = "range_exceeded"
 
-VOTE_BLOCK = 1 << 18  # sampled slots per bin held at once by vote(): rows * upsilon * r
+# sampled slots per bin in one block of vote(): rows * upsilon * r, held as r
+# index arrays of (rows, upsilon) beside one offset and two gather buffers
+VOTE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -183,20 +185,33 @@ def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
     Floyd's algorithm (Bentley & Floyd, CACM 1987), vectorised over rows and
     votes: step i draws t uniform on 0..j with j = n - r + i and takes j
     instead when t is already chosen. That is r integer draws per subset.
+    The duplicate test keeps the r index arrays of (rows, upsilon); each step
+    offsets its picks into one reused buffer and gathers into one of two (the
+    second only when r > 1), in draw order. The picks are in range, so the
+    gather takes mode="wrap": the default mode copies its out= buffer.
     """
     e = np.ascontiguousarray(e)
     rows, n = e.shape
     flat = e.ravel()
     base = (np.arange(rows) * n)[:, None]
-    pick = np.empty((r, rows, upsilon), dtype=np.int64)
-    sums = np.zeros((rows, upsilon))
+    picks = []
+    idx = np.empty((rows, upsilon), dtype=np.int64)
+    sums = np.empty((rows, upsilon))
+    buf = np.empty_like(sums) if r > 1 else None
     for i in range(r):
         j = n - r + i
         t = rng.integers(0, j + 1, size=(rows, upsilon))
+        if picks:
+            dup = picks[0] == t
+            for p in picks[1:]:
+                dup |= p == t
+            # t <= j, so the maximum takes j exactly where t is already chosen
+            np.maximum(t, dup * j, out=t)
+        picks.append(t)
+        np.add(t, base, out=idx)
+        np.take(flat, idx, out=buf if i else sums, mode="wrap")
         if i:
-            t = np.where((pick[:i] == t).any(axis=0), j, t)
-        pick[i] = t
-        sums += flat[base + t]
+            sums += buf
     return sums
 
 

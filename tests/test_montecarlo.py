@@ -2,12 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from uwblab import receiver
 from uwblab.analytic import prob_evade_rcv
-from uwblab.channel import LinkModel
+from uwblab.channel import LinkModel, power_ratio
 from uwblab.codec import CodeParams
 from uwblab.montecarlo import (
+    CHUNK,
     EstimateRow,
     TrialConfig,
     false_positive_rate,
@@ -15,7 +18,7 @@ from uwblab.montecarlo import (
     run_grid,
     wilson_interval,
 )
-from uwblab.receiver import ReceiverConfig, Thresholds
+from uwblab.receiver import ReceiverConfig, Thresholds, vote
 
 
 def test_wilson_interval_basics():
@@ -103,6 +106,56 @@ def test_false_positive_gating_is_monotone():
     assert gated_row.successes <= open_row.successes
     again = false_positive_rate(cfg, thresholds=Thresholds(0.0, 1e18))
     assert again.successes == open_row.successes
+
+
+# Exact counts pinned at a fixed seed. The kernels may be rewritten freely as
+# long as every generator call stays the same call, with the same size, in
+# the same order; a change that moves an RNG stream must update these numbers
+# and say so. Two full chunks plus a partial one cover the chunk loop's tail.
+PIN_TRIALS = 2 * CHUNK + 17
+
+
+@pytest.mark.parametrize("r, expected", [
+    (1, [0, 82, 495, 1620, 4150]),
+    (2, [0, 22, 364, 1524, 2052]),
+    (8, [0, 0, 12, 262, 301]),
+])
+def test_stream_pin_evade(r, expected):
+    cfg = TrialConfig(params=CodeParams(n=30, alpha=10, beta=20, r=2),
+                      k_grid=(0, 4, 11, 19, 30), trials=PIN_TRIALS, base_seed=11,
+                      receiver=ReceiverConfig(r=r))
+    assert [row.successes for row in run_grid(cfg)] == expected
+
+
+def test_stream_pin_attack():
+    link = LinkModel(d1_m=10.0, d2_m=5.0, sigma_n2=1e-7)
+    cfg = TrialConfig(params=CodeParams(n=30, alpha=10, beta=20, r=4), link=link,
+                      k_grid=(0, 6, 15), trials=PIN_TRIALS, base_seed=5, metric="attack",
+                      receiver=ReceiverConfig(r=4, upsilon=20))
+    assert [row.successes for row in run_grid(cfg)] == [2426, 5992, 1086]
+
+
+@pytest.mark.parametrize("r, expected", [(1, 52), (2, 216)])
+def test_stream_pin_false_positive(r, expected):
+    link = LinkModel(d1_m=10.0, d2_m=0.0, sigma_n2=power_ratio(10.0) * 7.67 / 16.0)
+    cfg = TrialConfig(params=CodeParams(n=20, alpha=10, beta=10, r=r), link=link,
+                      trials=PIN_TRIALS, base_seed=9,
+                      receiver=ReceiverConfig(r=r, upsilon=100, p_noise_threshold=0.8))
+    assert false_positive_rate(cfg).successes == expected
+
+
+@pytest.mark.parametrize("block, r, expected", [
+    (None, 1, [42, 21, 13, 23, 28, 37, 24, 21, 29]),
+    (None, 3, [47, 20, 11, 25, 14, 47, 27, 24, 36]),
+    (1, 1, [45, 24, 21, 22, 24, 34, 20, 26, 28]),
+    (1, 3, [49, 23, 12, 26, 20, 47, 19, 20, 29]),
+])
+def test_stream_pin_vote(monkeypatch, block, r, expected):
+    if block is not None:
+        monkeypatch.setattr(receiver, "VOTE_BLOCK", block)
+    e = np.random.default_rng(2024).random((9, 12))
+    passes = vote(e[:, :5], e[:, 5:], r, 50, np.random.default_rng(13))
+    assert passes.tolist() == expected
 
 
 def test_rows_to_csv_schema():

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwblab import receiver
 from uwblab.adversary import replay_frame
@@ -160,6 +162,57 @@ def test_vote_rejects_oversized_sample():
     assert vote(np.zeros((0, 3)), np.zeros((0, 5)), 2, 10, np.random.default_rng(0)).shape == (0,)
 
 
+@st.composite
+def vote_cases(draw, square=False):
+    """Small integer-energy rows, so every subset sum is exact."""
+    rows = draw(st.integers(1, 4))
+    alpha = draw(st.integers(1, 6))
+    beta = alpha if square else draw(st.integers(1, 6))
+    r = min(alpha, beta) if square else draw(st.integers(1, min(alpha, beta)))
+    energies = st.lists(st.integers(0, 5), min_size=rows * (alpha + beta),
+                        max_size=rows * (alpha + beta))
+    e = np.array(draw(energies), dtype=np.float64).reshape(rows, alpha + beta)
+    return e[:, :alpha], e[:, alpha:], r, draw(st.integers(1, 30)), draw(st.integers(0, 2**32))
+
+
+VOTE_PROPERTY = settings(derandomize=True, deadline=None, max_examples=80)
+
+
+@VOTE_PROPERTY
+@given(vote_cases())
+def test_vote_counts_within_upsilon(case):
+    e_alpha, e_beta, r, upsilon, seed = case
+    passes = vote(e_alpha, e_beta, r, upsilon, np.random.default_rng(seed))
+    assert passes.shape == (len(e_alpha),)
+    assert ((passes >= 0) & (passes <= upsilon)).all()
+
+
+@VOTE_PROPERTY
+@given(vote_cases(), st.data())
+def test_vote_monotone_in_energies(case, data):
+    # the index draws do not depend on the energies, so at one seed every
+    # vote compares the same subsets before and after the raise
+    e_alpha, e_beta, r, upsilon, seed = case
+    before = vote(e_alpha, e_beta, r, upsilon, np.random.default_rng(seed))
+    row = data.draw(st.integers(0, len(e_alpha) - 1))
+    delta = data.draw(st.integers(1, 5))
+    up_alpha = e_alpha.copy()
+    up_alpha[row, data.draw(st.integers(0, e_alpha.shape[1] - 1))] += delta
+    up_beta = e_beta.copy()
+    up_beta[row, data.draw(st.integers(0, e_beta.shape[1] - 1))] += delta
+    assert (vote(up_alpha, e_beta, r, upsilon, np.random.default_rng(seed)) >= before).all()
+    assert (vote(e_alpha, up_beta, r, upsilon, np.random.default_rng(seed)) <= before).all()
+
+
+@VOTE_PROPERTY
+@given(vote_cases(square=True))
+def test_vote_whole_bins_is_all_or_nothing(case):
+    e_alpha, e_beta, r, upsilon, seed = case
+    passes = vote(e_alpha, e_beta, r, upsilon, np.random.default_rng(seed))
+    wins = e_alpha.sum(axis=1) > e_beta.sum(axis=1)
+    assert passes.tolist() == np.where(wins, upsilon, 0).tolist()
+
+
 # chi-square quantiles at 1 - 1e-6 for 4 and 9 degrees of freedom
 CHI2_CRIT = {4: 33.377, 9: 44.811}
 
@@ -175,6 +228,31 @@ def test_floyd_subsets_are_uniform(r):
     expected = sums.size / len(subsets)
     stat = float(((counts - expected) ** 2 / expected).sum())
     assert stat < CHI2_CRIT[len(subsets) - 1]
+
+
+def reference_subset_sums(e, r, upsilon, rng):
+    """The plain Floyd loop: a fresh index array and gather per step."""
+    rows, n = e.shape
+    pick = np.empty((r, rows, upsilon), dtype=np.int64)
+    sums = np.zeros((rows, upsilon))
+    for i in range(r):
+        j = n - r + i
+        t = rng.integers(0, j + 1, size=(rows, upsilon))
+        if i:
+            t = np.where((pick[:i] == t).any(axis=0), j, t)
+        pick[i] = t
+        sums += np.take_along_axis(e, t, axis=1)
+    return sums
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 8])
+def test_subset_sums_match_reference(r):
+    # same draws, same picks, same summation order: bit-identical sums. The
+    # columns span eight decades, so a changed order would round differently,
+    # and the input is a strided view
+    e = (np.random.default_rng(r).random((7, 9)) * 10.0 ** np.arange(9))[:, 1:]
+    got = receiver._subset_sums(e, r, 40, np.random.default_rng(3))
+    assert np.array_equal(got, reference_subset_sums(e, r, 40, np.random.default_rng(3)))
 
 
 def test_vote_memory_bounded_in_rows():
