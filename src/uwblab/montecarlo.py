@@ -101,7 +101,7 @@ def _injection_mask(rng, m: int, alpha: int, beta: int, k: int) -> np.ndarray:
     # k distinct uniform slots per row. Only the count x landing in the
     # pulse bin matters: slots within a bin are exchangeable and the vote
     # and gate are permutation-invariant, so hit the first x pulse slots
-    # and the first k - x empty ones, filling each bin's columns in place
+    # and the first k - x empty ones (_evade_successes builds rows from x)
     x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
     mask = np.empty((m, alpha + beta), dtype=bool)
     np.less(np.arange(alpha), x, out=mask[:, :alpha])
@@ -114,7 +114,7 @@ def _evade_successes(cfg: TrialConfig, k: int) -> int:
 
     The empty bin wins when its sample sum strictly exceeds the pulse
     bin's, which is one vote with the bins swapped. Both bins' rows are
-    built from _injection_mask's count x, with no mask in between.
+    built from the injection count x, drawn as in _injection_mask, no mask.
     """
     alpha, beta = cfg.params.alpha, cfg.params.beta
     r = cfg.receiver.r
