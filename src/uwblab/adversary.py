@@ -35,9 +35,10 @@ class AttackPlan:
         powers = np.asarray(self.powers, dtype=np.float64)
         if not (slots.shape == phases.shape == powers.shape) or slots.ndim != 1:
             raise ValueError("slots, phases and powers must be parallel vectors")
-        if len(np.unique(slots)) != len(slots):
+        if len(set(slots.tolist())) != len(slots):
             raise ValueError("injection slots must be distinct")
-        if not np.isin(phases, (-1, 1)).all():
+        # abs(-128) is -128 in int8, which still differs from 1
+        if (np.abs(phases) != 1).any():
             raise ValueError("phases must be -1 or +1")
         if (powers < 0).any():
             raise ValueError("powers must be nonnegative")

@@ -50,7 +50,8 @@ class VerificationCode:
         slots = np.asarray(self.slots, dtype=np.int8)
         if slots.shape != (self.params.n,):
             raise ValueError("slot vector length must equal n")
-        if not np.isin(slots, (-1, 0, 1)).all():
+        # a range test, not abs(slots) <= 1: abs(-128) is -128 in int8
+        if slots.min() < -1 or slots.max() > 1:
             raise ValueError("slot values must be -1, 0 or +1")
         if int(np.count_nonzero(slots)) != self.params.alpha:
             raise ValueError("number of pulses must equal alpha")

@@ -86,8 +86,9 @@ class DetectionOutcome:
 
     verdict is one of VERDICT_*; toa_ns is set only for an accepted code and
     names the earliest accepted candidate. Diagnostics run in scan order
-    (acquisition lock first, then progressively earlier); pass_ratios holds
-    nan where the vote never ran (noise-gated or energy-exceeded candidates).
+    (acquisition lock first, then progressively earlier) as tuples of Python
+    floats; pass_ratios holds nan where the vote never ran (noise-gated or
+    energy-exceeded candidates).
     """
 
     verdict: str
@@ -239,8 +240,7 @@ def backtrack_detect(
 
     step_bins = max(1, int(round(cfg.backtrack_step_ns / timeline.tp_ns)))
     n_steps = int(cfg.backtrack_window_ns / cfg.backtrack_step_ns)
-    starts = timeline.lock_bin - step_bins * np.arange(n_steps + 1)
-    starts = starts[starts >= 0]
+    starts = np.arange(timeline.lock_bin, -1, -step_bins)[: n_steps + 1]
     if len(starts) == 0:
         raise ValueError("timeline does not cover the backtracking window")
 
@@ -255,10 +255,9 @@ def backtrack_detect(
     plausible = (aggregates[:scanned] >= thresholds.gamma_lower) & (
         aggregates[:scanned] <= thresholds.gamma_upper
     )
-    ratios = np.full(scanned, np.nan)
     # a window with zero energy everywhere loses every strict vote exactly
     voted = plausible & (aggregates[:scanned] > 0.0)
-    ratios[plausible & ~voted] = 0.0
+    ratios = np.where(plausible, 0.0, np.nan)
     if voted.any():
         bin_alpha, bin_beta = bins(code)
         rows = energies[:scanned][voted]
@@ -266,13 +265,14 @@ def backtrack_detect(
         ratios[voted] = passes / cfg.upsilon
 
     diag = dict(
-        candidate_toas_ns=tuple(toas[:scanned]),
-        aggregates=tuple(aggregates[:scanned]),
-        pass_ratios=tuple(ratios),
+        candidate_toas_ns=tuple(toas[:scanned].tolist()),
+        aggregates=tuple(aggregates[:scanned].tolist()),
+        pass_ratios=tuple(ratios.tolist()),
     )
     if len(hot):
         return DetectionOutcome(verdict=VERDICT_ATTACK, reason=REASON_ENERGY, **diag)
-    accepted = toas[:scanned][np.nan_to_num(ratios, nan=-1.0) > cfg.p_noise_threshold]
+    # nan (never voted) compares False, so it is never accepted
+    accepted = toas[:scanned][ratios > cfg.p_noise_threshold]
     if len(accepted) == 0:
         return DetectionOutcome(verdict=VERDICT_NO_CODE, **diag)
     return DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(accepted.min()), **diag)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uwblab.adversary import AttackPlan, plan_attack, plan_to_csv, replay_frame
 from uwblab.channel import synthesize_timeline, unity_link
@@ -99,3 +101,35 @@ def test_plan_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "slot,phase,power"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("bad", [0, 2, -128])
+def test_plan_rejects_phase_outside_plus_minus_one(bad):
+    with pytest.raises(ValueError, match="phases"):
+        AttackPlan(slots=(0, 3), phases=np.array([1, bad], dtype=np.int8), powers=(1.0, 1.0))
+
+
+def test_plan_rejects_non_adjacent_duplicate_slots():
+    with pytest.raises(ValueError, match="distinct"):
+        AttackPlan(slots=(3, 1, 3), phases=(1, -1, 1), powers=(1.0, 1.0, 1.0))
+
+
+def test_plan_accepts_zero_and_one_injection():
+    assert AttackPlan(slots=(), phases=(), powers=()).k == 0
+    assert AttackPlan(slots=(5,), phases=(-1,), powers=(1.0,)).k == 1
+    assert plan_attack(CodeParams(n=6, alpha=2, beta=4, r=1), k=0, seed=3).k == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.data(), st.integers(0, 2**32))
+def test_plan_attack_invariants(n, data, seed):
+    k = data.draw(st.integers(0, n))
+    params = CodeParams(n=n, alpha=1, beta=n - 1, r=1)
+    plan = plan_attack(params, k, seed=seed)
+    assert plan.k == k
+    assert len(set(plan.slots.tolist())) == k
+    assert all(0 <= s < n for s in plan.slots.tolist())
+    assert set(plan.phases.tolist()) <= {-1, 1}
+    assert plan.powers.tolist() == [1.0] * k
+    again = plan_attack(params, k, seed=seed)
+    assert plan_to_csv(again) == plan_to_csv(plan)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from uwblab.codec import (CodeParams, bins, code_from_line, code_to_line,
-                          generate_code)
+from uwblab.codec import (CodeParams, VerificationCode, bins, code_from_line,
+                          code_to_line, generate_code)
 
 FIG_SENT = "0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0"
 
@@ -92,3 +92,28 @@ def test_figure_row_parses():
     occ, _ = bins(code)
     assert list(occ) == [1, 5, 6, 12, 14]
     assert list(code.slots[occ]) == [-1, -1, 1, 1, -1]
+
+
+@pytest.mark.parametrize("bad", [2, -2, 127, -128])
+def test_code_rejects_slot_values_outside_unit_range(bad):
+    # one bad value among alpha nonzero slots, so only the value check can fire;
+    # -128 guards against an abs() test, since abs(-128) is -128 in int8
+    params = CodeParams(n=4, alpha=2, beta=2, r=1)
+    with pytest.raises(ValueError, match="slot values"):
+        VerificationCode(params=params, slots=np.array([bad, 1, 0, 0], dtype=np.int8))
+    VerificationCode(params=params, slots=np.array([-1, 1, 0, 0], dtype=np.int8))
+
+
+def test_code_rejects_wrong_pulse_count_and_shape():
+    params = CodeParams(n=4, alpha=2, beta=2, r=1)
+    with pytest.raises(ValueError, match="number of pulses"):
+        VerificationCode(params=params, slots=np.array([1, 1, -1, 0]))
+    with pytest.raises(ValueError, match="length"):
+        VerificationCode(params=params, slots=np.array([1, -1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="length"):
+        VerificationCode(params=params, slots=np.array([[1, -1], [0, 0]]))
+
+
+def test_code_from_line_rejects_bad_slot_value():
+    with pytest.raises(ValueError):
+        code_from_line("0,2,1,0")

@@ -376,3 +376,20 @@ def test_outcome_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "candidate_toa_ns,aggregate,pass_ratio"
     assert len(lines) == 2 + len(out.candidate_toas_ns)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32),
+       st.sampled_from([0.0, 20.0, 60.0]))
+def test_backtrack_accepts_nothing_later_than_lock(code_seed, noise_seed, vote_seed, delay_ns):
+    # the single-case test above, over random codes, noise, votes and replays
+    params = small_params()
+    code = generate_code(params, seed=code_seed)
+    link = unity_link(sigma_n2=0.01)
+    tl = synthesize_timeline(code, link, noise_seed=noise_seed, lead_ns=40.0, tail_ns=100.0)
+    if delay_ns:
+        tl = replay_frame(tl, delay_ns, 6.0)
+    cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0, rng_seed=vote_seed)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    if out.verdict == VERDICT_ACCEPTED:
+        assert out.toa_ns <= tl.lock_bin * tl.tp_ns
