@@ -146,6 +146,7 @@ def run_session(
     code_ss, noise_ss, attack_ss = np.random.SeedSequence(seed).spawn(3)
     code_seeds = code_ss.generate_state(2)
     noise_seeds = noise_ss.generate_state(2)
+    attack_seed = int(attack_ss.generate_state(1)[0])
 
     outcomes = []
     toa_offset_ns = float("nan")
@@ -154,7 +155,7 @@ def run_session(
         carries_attack = attacked and direction == 1
         plan = None
         if carries_attack and k > 0:
-            plan = plan_attack(params, k, seed=int(attack_ss.generate_state(1)[0]))
+            plan = plan_attack(params, k, seed=attack_seed)
         timeline = synthesize_timeline(
             code, link, attack=plan, noise_seed=int(noise_seeds[direction])
         )

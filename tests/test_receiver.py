@@ -382,7 +382,8 @@ def test_outcome_csv_schema():
 @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32),
        st.sampled_from([0.0, 20.0, 60.0]))
 def test_backtrack_accepts_nothing_later_than_lock(code_seed, noise_seed, vote_seed, delay_ns):
-    # the single-case test above, over random codes, noise, votes and replays
+    # test_backtrack_never_returns_later_than_lock over random codes, noise,
+    # votes and replay delays
     params = small_params()
     code = generate_code(params, seed=code_seed)
     link = unity_link(sigma_n2=0.01)
