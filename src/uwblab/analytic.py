@@ -7,12 +7,13 @@ model: an untouched pulse contributes energy 1, an annihilated pulse 0, a
 pulse hit with the same sign 4, and an attacker pulse landing in the empty
 bin 1.
 
-Every function has two evaluation paths. The default float path works with
-log-binomials, exponentiating each term only after numerator and denominator
-cancel, so slot counts in the hundreds stay far from overflow; terms are
-probabilities <= 1 throughout. With exact=True the same sums run over
-Fraction arithmetic on math.comb, which the tests use as a small-instance
-oracle. Both paths agree to ~1e-12 relative.
+Each sum is written once, and exact chooses only the arithmetic of its
+terms. _weight forms every ratio of binomial coefficients: on the default
+float path it exponentiates the summed log-binomials, so numerator and
+denominator cancel before anything is formed and slot counts in the hundreds
+stay far from overflow; with exact=True it is a Fraction on math.comb, which
+the tests use as a small-instance oracle. _total sums the terms with fsum or
+in Fractions. Both paths agree to ~1e-12 relative.
 
 prob_success sums over the attacker's annihilation count g inside each
 pulse-bin draw, by C(x,g) C(g,y1) C(x-g,y2) = C(x,y1+y2) C(y1+y2,y1)
@@ -30,6 +31,7 @@ Argument conventions:
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, exp, fsum, isinf, lgamma, log
 
 HALF_LOG = log(2.0)
@@ -46,6 +48,27 @@ def _log_choose(n: int, r: int) -> float:
     return table[n] - table[r] - table[n - r]
 
 
+def _weight(exact: bool, num, den=(), halves: int = 0):
+    """prod C(n, k) over the (n, k) pairs of num / the same over den / 2**halves."""
+    if exact:
+        top, bottom = 1, 2**halves
+        for n, k in num:
+            top *= comb(n, k)
+        for n, k in den:
+            bottom *= comb(n, k)
+        return Fraction(top, bottom)
+    lw = -halves * HALF_LOG
+    for n, k in num:
+        lw += _log_choose(n, k)
+    for n, k in den:
+        lw -= _log_choose(n, k)
+    return exp(lw)
+
+
+def _total(terms, exact: bool):
+    return sum(terms, Fraction(0)) if exact else fsum(terms)
+
+
 def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):
     """Probability that a uniform (ka+kb)-subset of na+nb items splits ka|kb.
 
@@ -53,12 +76,8 @@ def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):
     which lets callers sum over unconstrained index ranges.
     """
     if min(na, nb, ka, kb) < 0 or ka > na or kb > nb:
-        return Fraction(0) if exact else 0.0
-    if exact:
-        return Fraction(comb(na, ka) * comb(nb, kb), comb(na + nb, ka + kb))
-    return exp(
-        _log_choose(na, ka) + _log_choose(nb, kb) - _log_choose(na + nb, ka + kb)
-    )
+        return _total((), exact)
+    return _weight(exact, ((na, ka), (nb, kb)), ((na + nb, ka + kb),))
 
 
 @lru_cache(maxsize=4096)
@@ -67,32 +86,16 @@ def _draw_pmf(hit: int, miss: int, r: int, exact: bool) -> tuple:
     return tuple(hypergeom(hit, miss, i, r - i, exact) for i in range(r + 1))
 
 
-def _suffix_tail(pmf: tuple, exact: bool) -> list:
-    """tail[m] = P(count >= m); tail has length len(pmf)+1, tail[-1] = 0."""
-    zero = Fraction(0) if exact else 0.0
-    tail = [zero] * (len(pmf) + 1)
-    for m in range(len(pmf) - 1, -1, -1):
-        tail[m] = tail[m + 1] + pmf[m]
-    return tail
-
-
-def _prefix_cdf(pmf: tuple, exact: bool) -> list:
-    """cdf[y] = P(count <= y)."""
-    zero = Fraction(0) if exact else 0.0
-    out = []
-    acc = zero
-    for p in pmf:
-        acc = acc + p
-        out.append(acc)
-    return out
+@lru_cache(maxsize=4096)
+def _half_pmf(n: int, exact: bool) -> tuple:
+    """pmf of Binomial(n, 1/2)."""
+    return tuple(_weight(exact, ((n, j),), halves=n) for j in range(n + 1))
 
 
 @lru_cache(maxsize=4096)
 def _half_tail(n: int, j0: int, exact: bool):
     # P(Binomial(n, 1/2) >= j0), for 0 < j0 <= n
-    if exact:
-        return Fraction(sum(comb(n, j) for j in range(j0, n + 1)), 2**n)
-    return fsum(exp(_log_choose(n, j) - n * HALF_LOG) for j in range(j0, n + 1))
+    return _total(_half_pmf(n, exact)[j0:], exact)
 
 
 def _check_game(alpha: int, beta: int, r: int, k: int) -> None:
@@ -102,45 +105,6 @@ def _check_game(alpha: int, beta: int, r: int, k: int) -> None:
         raise ValueError("sample size r must satisfy 1 <= r <= min(alpha, beta)")
     if not 0 <= k <= alpha + beta:
         raise ValueError("injection count k must lie in [0, alpha + beta]")
-
-
-def _p_inner_reduced(alpha, x, g, beta_tail, exact: bool):
-    # r = alpha: the pulse-bin aggregate is fully determined by (x, g)
-    m = 4 * (x - g) + (alpha - x) + 1
-    zero = Fraction(0) if exact else 0.0
-    return beta_tail[m] if m < len(beta_tail) else zero
-
-
-def _p_inner_general(alpha, r, x, g, beta_tail, exact: bool):
-    # sum over the composition of the pulse-bin draw: y1 annihilated,
-    # y2 doubled, r - y1 - y2 untouched
-    terms = []
-    log_cr = None if exact else _log_choose(alpha, r)
-    for y1 in range(0, min(r, g) + 1):
-        y2_lo = max(0, r - y1 - (alpha - x))
-        y2_hi = min(r - y1, x - g)
-        for y2 in range(y2_lo, y2_hi + 1):
-            m = r - y1 + 3 * y2 + 1
-            tail = beta_tail[m] if m < len(beta_tail) else None
-            if tail is None or tail == 0:
-                continue
-            if exact:
-                w = Fraction(
-                    comb(g, y1) * comb(x - g, y2) * comb(alpha - x, r - y1 - y2),
-                    comb(alpha, r),
-                )
-                terms.append(w * tail)
-            else:
-                lw = (
-                    _log_choose(g, y1)
-                    + _log_choose(x - g, y2)
-                    + _log_choose(alpha - x, r - y1 - y2)
-                    - log_cr
-                )
-                terms.append(exp(lw) * tail)
-    if exact:
-        return sum(terms, Fraction(0))
-    return fsum(terms)
 
 
 def p_inner(alpha: int, beta: int, r: int, k: int, x: int, g: int, exact: bool = False):
@@ -153,10 +117,18 @@ def p_inner(alpha: int, beta: int, r: int, k: int, x: int, g: int, exact: bool =
     _check_game(alpha, beta, r, k)
     if not 0 <= g <= x <= min(k, alpha) or k - x > beta:
         raise ValueError("need 0 <= g <= x <= min(k, alpha) and k - x <= beta")
-    beta_tail = _suffix_tail(_draw_pmf(k - x, beta - (k - x), r, exact), exact)
-    if r == alpha:
-        return _p_inner_reduced(alpha, x, g, beta_tail, exact)
-    return _p_inner_general(alpha, r, x, g, beta_tail, exact)
+    # beta_tail[m] = P(the empty-bin draw holds >= m injections), m in 0..r
+    beta_tail = list(accumulate(reversed(_draw_pmf(k - x, beta - (k - x), r, exact))))[::-1]
+    # sum over the composition of the pulse-bin draw: y1 annihilated, y2
+    # doubled, r - y1 - y2 untouched (at r = alpha one term of weight 1)
+    terms = []
+    for y1 in range(0, min(r, g) + 1):
+        for y2 in range(max(0, r - y1 - (alpha - x)), min(r - y1, x - g) + 1):
+            m = r - y1 + 3 * y2 + 1
+            if m <= r and beta_tail[m] != 0:
+                w = _weight(exact, ((g, y1), (x - g, y2), (alpha - x, r - y1 - y2)), ((alpha, r),))
+                terms.append(w * beta_tail[m])
+    return _total(terms, exact)
 
 
 def prob_evade_rcv(alpha: int, beta: int, r: int, k: int, exact: bool = False):
@@ -186,7 +158,6 @@ def prob_success(
     if zeta < 0:
         raise ValueError("headroom ratio zeta must be >= 0")
     budget = None if isinf(zeta) else alpha * (zeta - 1.0)
-    log_cr = None if exact else _log_choose(alpha, r)
     terms = []
     for x in range(max(0, k - beta), min(k, alpha) + 1):
         w = hypergeom(alpha, beta, x, k - x, exact)
@@ -194,12 +165,12 @@ def prob_success(
             (g for g in range(x + 1) if k + 2 * x - 4 * g <= budget), x + 1)
         if w == 0 or g0 > x:
             continue
-        beta_tail = _suffix_tail(_draw_pmf(k - x, beta - (k - x), r, exact), exact)
+        beta_tail = list(accumulate(reversed(_draw_pmf(k - x, beta - (k - x), r, exact))))[::-1]
+        # s of the r slots drawn from the pulse bin were hit, y1 of those annihilated
+        pulse = _draw_pmf(x, alpha - x, r, exact)
         draws = []
         for s in range(max(0, r - alpha + x), min(r, x) + 1):
-            # the weight of s, as a log on the float path
-            ws = (Fraction(comb(x, s) * comb(alpha - x, r - s), 2**s * comb(alpha, r)) if exact
-                  else _log_choose(x, s) - s * HALF_LOG + _log_choose(alpha - x, r - s) - log_cr)
+            halves = _half_pmf(s, exact)
             # the empty draw (at most r) must beat the pulse draw's
             # r + 3s - 4 y1, and g - y1 must have room in [g0 - y1, x - s]
             for y1 in range(max(3 * s // 4 + 1, g0 - x + s), s + 1):
@@ -208,10 +179,9 @@ def prob_success(
                     continue
                 if g0 > y1:
                     tail = tail * _half_tail(x - s, g0 - y1, exact)
-                draws.append(ws * comb(s, y1) * tail if exact
-                             else exp(ws + _log_choose(s, y1)) * tail)
-        terms.append(w * (sum(draws, Fraction(0)) if exact else fsum(draws)))
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
+                draws.append(pulse[s] * halves[y1] * tail)
+        terms.append(w * _total(draws, exact))
+    return _total(terms, exact)
 
 
 def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = False):
@@ -235,21 +205,12 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
         w = hypergeom(alpha, beta, x, kappa - x, exact)
         if w == 0:
             continue
-        beta_cdf = _prefix_cdf(_draw_pmf(kappa - x, beta - (kappa - x), r, exact), exact)
-        log_cr = None if exact else _log_choose(alpha, r)
-        inner = []
-        y_lo = max(0, r - (alpha - x))
-        for y in range(y_lo, min(r, x) + 1):
-            if exact:
-                wy = Fraction(comb(x, y) * comb(alpha - x, r - y), comb(alpha, r))
-            else:
-                wy = exp(
-                    _log_choose(x, y) + _log_choose(alpha - x, r - y) - log_cr
-                )
-            inner.append(wy * beta_cdf[y])
-        total = sum(inner, Fraction(0)) if exact else fsum(inner)
-        terms.append(w * total)
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
+        # the pulse draw passes when it holds at least as many high slots
+        pulse = _draw_pmf(x, alpha - x, r, exact)
+        beta_cdf = list(accumulate(_draw_pmf(kappa - x, beta - (kappa - x), r, exact)))
+        ys = range(max(0, r - (alpha - x)), min(r, x) + 1)
+        terms.append(w * _total((pulse[y] * beta_cdf[y] for y in ys), exact))
+    return _total(terms, exact)
 
 
 def appendix_prob_delta(n: int, alpha: int, k: int, delta: int, exact: bool = False):
@@ -264,20 +225,13 @@ def appendix_prob_delta(n: int, alpha: int, k: int, delta: int, exact: bool = Fa
         raise ValueError("need 0 <= alpha <= n with n >= 1")
     if not 0 <= k <= n:
         raise ValueError("injection count k must lie in [0, n]")
-    zero = Fraction(0) if exact else 0.0
     if delta > k or delta < -k or (k - delta) % 2:
-        return zero
+        return _total((), exact)
     b = (k - delta) // 2
-    terms = []
-    for x1 in range(b, min(k, alpha) + 1):
-        w = hypergeom(alpha, n - alpha, x1, k - x1, exact)
-        if w == 0:
-            continue
-        if exact:
-            terms.append(Fraction(comb(x1, b), 2**x1) * w)
-        else:
-            terms.append(exp(_log_choose(x1, b) - x1 * HALF_LOG) * w)
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
+    # x1 injections hit pulse slots and b of those cancelled
+    hits = _draw_pmf(alpha, n - alpha, k, exact)
+    return _total((hits[x1] * _half_pmf(x1, exact)[b] for x1 in range(b, min(k, alpha) + 1)),
+                  exact)
 
 
 def appendix_prob_within_threshold(
@@ -297,10 +251,8 @@ def appendix_prob_within_threshold(
         raise ValueError("injection count k must lie in [0, n]")
     hi = alpha * (gamma_factor - 1.0)
     terms = []
-    for delta in range(-k, k + 1):
-        if (k - delta) % 2:
-            continue
+    for delta in range(-k, k + 1, 2):  # k - delta must be even
         if delta > hi:
             break
         terms.append(appendix_prob_delta(n, alpha, k, delta, exact))
-    return sum(terms, Fraction(0)) if exact else fsum(terms)
+    return _total(terms, exact)

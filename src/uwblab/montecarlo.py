@@ -88,13 +88,17 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return lo, hi
 
 
-def _chunk_rng(base_seed: int, k: int, chunk_idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((base_seed, k, chunk_idx)))
+def _estimate_row(k: int, trials: int, successes: int, analytic_p=float("nan")) -> EstimateRow:
+    lo, hi = wilson_interval(successes, trials)
+    return EstimateRow(k=k, trials=trials, successes=successes, p_hat=successes / trials,
+                       ci_low=lo, ci_high=hi, analytic_p=analytic_p)
 
 
-def _chunks(trials: int):
-    for idx, done in enumerate(range(0, trials, CHUNK)):
-        yield idx, min(CHUNK, trials - done)
+def _chunks(base_seed: int, k: int, trials: int):
+    # (generator, size) for each chunk of grid point k, in chunk order
+    for idx, start in enumerate(range(0, trials, CHUNK)):
+        seq = np.random.SeedSequence((base_seed, k, idx))
+        yield np.random.default_rng(seq), min(CHUNK, trials - start)
 
 
 def _injection_mask(rng, m: int, alpha: int, beta: int, k: int) -> np.ndarray:
@@ -119,8 +123,7 @@ def _evade_successes(cfg: TrialConfig, k: int) -> int:
     alpha, beta = cfg.params.alpha, cfg.params.beta
     r = cfg.receiver.r
     successes = 0
-    for chunk_idx, m in _chunks(cfg.trials):
-        rng = _chunk_rng(cfg.base_seed, k, chunk_idx)
+    for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
         x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
         # relative phase of a colliding injection: half double (energy 4),
         # half cancel (0); the alpha - x pulse slots not hit keep energy 1
@@ -153,8 +156,7 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         return vote(e[:, :alpha], e[:, alpha:], rcfg.r, rcfg.upsilon, rng) / rcfg.upsilon > cut
 
     successes = 0
-    for chunk_idx, m in _chunks(cfg.trials):
-        rng = _chunk_rng(cfg.base_seed, k, chunk_idx)
+    for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
         clean = np.zeros((m, n))
         clean[:, :alpha] = (2.0 * (rng.random((m, alpha)) < 0.5) - 1.0) * lam_w
         inj_mask = _injection_mask(rng, m, alpha, params.beta, k)
@@ -192,10 +194,7 @@ def run_grid(cfg: TrialConfig) -> list[EstimateRow]:
         else:
             successes = _attack_successes(cfg, k)
             ref = float("nan")
-        p_hat = successes / cfg.trials
-        lo, hi = wilson_interval(successes, cfg.trials)
-        rows.append(EstimateRow(k=k, trials=cfg.trials, successes=successes, p_hat=p_hat,
-                                ci_low=lo, ci_high=hi, analytic_p=ref))
+        rows.append(_estimate_row(k, cfg.trials, successes, ref))
     return rows
 
 
@@ -215,19 +214,18 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     if thresholds is None:
         thresholds = compute_thresholds(link, params, link.d1_m + link.d2_m)
     accepted = 0
-    for chunk_idx, m in _chunks(cfg.trials):
-        rng = _chunk_rng(cfg.base_seed, 0, chunk_idx)
-        energies = rng.normal(0.0, sigma, (m, n))
+    # every chunk draws into one buffer, so no chunk's noise lands on fresh
+    # pages; standard_normal scaled by sigma gives the values normal(0, sigma) gives
+    buf = np.empty((min(CHUNK, cfg.trials), n))
+    for rng, m in _chunks(cfg.base_seed, 0, cfg.trials):
+        energies = rng.standard_normal(out=buf[:m])
+        energies *= sigma
         np.square(energies, out=energies)
         agg = energies.sum(axis=1)
         live = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
         passes = vote(energies[live, :alpha], energies[live, alpha:], rcfg.r, rcfg.upsilon, rng)
         accepted += int((passes / rcfg.upsilon > rcfg.p_noise_threshold).sum())
-    p_hat = accepted / cfg.trials
-    lo, hi = wilson_interval(accepted, cfg.trials)
-    return EstimateRow(
-        k=0, trials=cfg.trials, successes=accepted, p_hat=p_hat, ci_low=lo, ci_high=hi
-    )
+    return _estimate_row(0, cfg.trials, accepted)
 
 
 def rows_to_csv(rows, header_extra: str | None = None) -> str:

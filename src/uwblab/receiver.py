@@ -236,7 +236,6 @@ def backtrack_detect(
     if d_committed_m is None:
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
-    rng = np.random.default_rng(cfg.rng_seed)
 
     step_bins = max(1, int(round(cfg.backtrack_step_ns / timeline.tp_ns)))
     n_steps = int(cfg.backtrack_window_ns / cfg.backtrack_step_ns)
@@ -261,6 +260,7 @@ def backtrack_detect(
     if voted.any():
         bin_alpha, bin_beta = bins(code)
         rows = energies[:scanned][voted]
+        rng = np.random.default_rng(cfg.rng_seed)
         passes = vote(rows[:, bin_alpha], rows[:, bin_beta], cfg.r, cfg.upsilon, rng)
         ratios[voted] = passes / cfg.upsilon
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,26 @@ def test_p_inner_bounds_and_errors():
         prob_evade_rcv(10, 20, 2, 31)
     with pytest.raises(ValueError):
         prob_noise_pass(0, 20, 1, 0)
+
+
+def test_p_inner_mixes_to_evade_exactly():
+    # averaging the conditional over x ~ hypergeometric and g ~ Binomial(x, 1/2)
+    # recovers the unconditional game; r = alpha is its one-term case
+    cases = 0
+    for alpha in range(1, 6):
+        for beta in range(1, 6):
+            for r in range(1, min(alpha, beta) + 1):
+                for k in range(0, alpha + beta + 1):
+                    mixed = sum(
+                        Fraction(comb(alpha, x) * comb(beta, k - x), comb(alpha + beta, k))
+                        * sum(Fraction(comb(x, g), 2**x)
+                              * p_inner(alpha, beta, r, k, x, g, exact=True)
+                              for g in range(x + 1))
+                        for x in range(max(0, k - beta), min(k, alpha) + 1))
+                    assert mixed == prob_evade_rcv(alpha, beta, r, k, exact=True), \
+                        (alpha, beta, r, k)
+                    cases += 1
+    assert cases == 435
 
 
 def test_noise_pass_matches_oracle():
@@ -185,3 +206,40 @@ def test_appendix_threshold_monotone():
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     # once the budget swallows every possible gain the bound is certain
     assert appendix_prob_within_threshold(20, 8, 10, 2.5) == pytest.approx(1.0)
+
+
+def _assert_tracks(approx, exact):
+    assert abs(approx - exact) <= 1e-12 * exact
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_p_inner_float_path_tracks_exact_path(game, data):
+    a, b, r, k = game
+    x = data.draw(st.integers(max(0, k - b), min(k, a)))
+    g = data.draw(st.integers(0, x))
+    _assert_tracks(p_inner(a, b, r, k, x, g), p_inner(a, b, r, k, x, g, exact=True))
+
+
+@PROPERTY
+@given(games())
+def test_noise_pass_float_path_tracks_exact_path(game):
+    a, b, r, kappa = game
+    _assert_tracks(prob_noise_pass(a, b, r, kappa), prob_noise_pass(a, b, r, kappa, exact=True))
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_appendix_delta_float_path_tracks_exact_path(game, data):
+    a, b, _, k = game
+    delta = data.draw(st.integers(-k, k))
+    _assert_tracks(appendix_prob_delta(a + b, a, k, delta),
+                   appendix_prob_delta(a + b, a, k, delta, exact=True))
+
+
+@PROPERTY
+@given(games(), st.floats(0.0, 4.0))
+def test_appendix_threshold_float_path_tracks_exact_path(game, gamma):
+    a, b, _, k = game
+    _assert_tracks(appendix_prob_within_threshold(a + b, a, k, gamma),
+                   appendix_prob_within_threshold(a + b, a, k, gamma, exact=True))
