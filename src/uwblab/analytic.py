@@ -82,8 +82,12 @@ def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):
 
 @lru_cache(maxsize=4096)
 def _draw_pmf(hit: int, miss: int, r: int, exact: bool) -> tuple:
-    """pmf of the number of hit slots in an r-draw from hit+miss slots."""
-    return tuple(hypergeom(hit, miss, i, r - i, exact) for i in range(r + 1))
+    """pmf of the number of hit slots in an r-draw from hit+miss slots, r <= hit+miss."""
+    # only the support is formed; every other entry is the arithmetic's zero
+    lo, hi = max(0, r - miss), min(r, hit)
+    zero = _total((), exact)
+    support = (hypergeom(hit, miss, i, r - i, exact) for i in range(lo, hi + 1))
+    return (zero,) * lo + tuple(support) + (zero,) * (r - hi)
 
 
 @lru_cache(maxsize=4096)

@@ -10,8 +10,8 @@ attack actually produces (the delayed amplified copy the acquisition locks
 onto, and the earlier authentic frame the adversary tried to cancel) and
 counts the runs where the receiver ends up accepting only the delayed copy.
 
-Every r-versus-r comparison goes through receiver.vote, the kernel the
-receiver itself uses; the evade game is one vote with the bins swapped.
+The attack and noise games accept candidates by receiver.pass_ratios, as
+backtracking does; the evade game is one receiver.vote with the bins swapped.
 The simulated code occupies the first alpha slots. The code is uniform and
 independent of injections, signs and noise, so every slot is exchangeable
 and a fixed bin split has the same distribution as a secret one.
@@ -29,7 +29,7 @@ import numpy as np
 from . import analytic
 from .channel import LinkModel, adversary_rx_power, worst_case_rx_power
 from .codec import CodeParams
-from .receiver import ReceiverConfig, Thresholds, compute_thresholds, vote
+from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios, vote
 
 CHUNK = 4096
 
@@ -101,24 +101,12 @@ def _chunks(base_seed: int, k: int, trials: int):
         yield np.random.default_rng(seq), min(CHUNK, trials - start)
 
 
-def _injection_mask(rng, m: int, alpha: int, beta: int, k: int) -> np.ndarray:
-    # k distinct uniform slots per row. Only the count x landing in the
-    # pulse bin matters: slots within a bin are exchangeable and the vote
-    # and gate are permutation-invariant, so hit the first x pulse slots
-    # and the first k - x empty ones (_evade_successes builds rows from x)
-    x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
-    mask = np.empty((m, alpha + beta), dtype=bool)
-    np.less(np.arange(alpha), x, out=mask[:, :alpha])
-    np.less(np.arange(beta), k - x, out=mask[:, alpha:])
-    return mask
-
-
 def _evade_successes(cfg: TrialConfig, k: int) -> int:
     """Single-comparison game at unit pulse power, noiseless.
 
     The empty bin wins when its sample sum strictly exceeds the pulse
     bin's, which is one vote with the bins swapped. Both bins' rows are
-    built from the injection count x, drawn as in _injection_mask, no mask.
+    built from the injection count x, drawn as in _attack_successes, no mask.
     """
     alpha, beta = cfg.params.alpha, cfg.params.beta
     r = cfg.receiver.r
@@ -137,29 +125,34 @@ def _evade_successes(cfg: TrialConfig, k: int) -> int:
 def _attack_successes(cfg: TrialConfig, k: int) -> int:
     """Replay pipeline on the two real candidates, vectorized over trials.
 
-    All other backtracking offsets hold pure noise and are rejected with
-    overwhelming probability, so only the delayed copy and the authentic
-    frame alignment are simulated. Success means the receiver accepts the
-    delayed copy, rejects the authentic frame, and never sees an aggregate
-    above the energy ceiling.
+    Only the delayed copy and the authentic frame alignment are simulated;
+    assuming every other offset rejected is an unchecked shortcut (ROADMAP
+    4(c)). Success means the receiver accepts the delayed copy, rejects the
+    authentic frame, and never sees an aggregate above the energy ceiling.
+    Trials over the ceiling cast no vote, and the copy is voted only where
+    the authentic frame stayed hidden.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
-    n, alpha = params.n, params.alpha
+    n, alpha, beta = params.n, params.alpha, params.beta
     lam_w = math.sqrt(worst_case_rx_power(link))
     lam_adv = math.sqrt(adversary_rx_power(link))
     gain = 10.0 ** (cfg.replay_gain_db / 20.0)
     sigma = math.sqrt(link.sigma_n2)
     thr = compute_thresholds(link, params, link.d1_m + link.d2_m)
+    pulse, empty = slice(alpha), slice(alpha, None)
     cut = rcfg.p_noise_threshold
-
-    def accepts(e, rng):
-        return vote(e[:, :alpha], e[:, alpha:], rcfg.r, rcfg.upsilon, rng) / rcfg.upsilon > cut
-
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
         clean = np.zeros((m, n))
         clean[:, :alpha] = (2.0 * (rng.random((m, alpha)) < 0.5) - 1.0) * lam_w
-        inj_mask = _injection_mask(rng, m, alpha, params.beta, k)
+        # k distinct uniform slots per row. Only the count x landing in the
+        # pulse bin matters: slots within a bin are exchangeable and the vote
+        # and gate are permutation-invariant, so hit the first x pulse slots
+        # and the first k - x empty ones (_evade_successes builds rows from x)
+        x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
+        inj_mask = np.empty((m, n), dtype=bool)
+        np.less(np.arange(alpha), x, out=inj_mask[:, :alpha])
+        np.less(np.arange(beta), k - x, out=inj_mask[:, alpha:])
         inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
         # energies square (amplitudes + noise) in place, noise drawn auth first
         e_auth = clean + np.where(inj_mask, inj_phases * lam_adv, 0.0)
@@ -168,15 +161,11 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         e_copy = clean * gain
         e_copy += rng.normal(0.0, sigma, (m, n))
         np.square(e_copy, out=e_copy)
-        agg_auth = e_auth.sum(axis=1)
-        agg_copy = e_copy.sum(axis=1)
-        exceeded = (agg_auth > thr.gamma_upper) | (agg_copy > thr.gamma_upper)
-        auth_plausible = (agg_auth >= thr.gamma_lower) & (agg_auth <= thr.gamma_upper)
-        copy_plausible = (agg_copy >= thr.gamma_lower) & (agg_copy <= thr.gamma_upper)
-
-        hidden = ~(auth_plausible & accepts(e_auth, rng))
-        accepted_copy = copy_plausible & accepts(e_copy, rng)
-        successes += int((~exceeded & hidden & accepted_copy).sum())
+        agg_auth, agg_copy = e_auth.sum(axis=1), e_copy.sum(axis=1)
+        exceeded = np.maximum(agg_auth, agg_copy) > thr.gamma_upper
+        hidden = ~(pass_ratios(e_auth, pulse, empty, thr, rcfg, rng, ~exceeded, agg_auth) > cut)
+        copy = pass_ratios(e_copy, pulse, empty, thr, rcfg, rng, ~exceeded & hidden, agg_copy)
+        successes += int((copy > cut).sum())
     return successes
 
 
@@ -204,9 +193,8 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     Each trial is one backtracking candidate: a frame-length window of
     noise-only energies, gated by the thresholds and then put to the full
     repeated-sample vote. Noise energies are exchangeable across slots, so
-    a fixed bin split is statistically identical to a secret one. Every
-    live candidate casts all upsilon votes: acceptance depends only on the
-    final pass count, and the vote kernel returns it directly.
+    a fixed bin split is statistically identical to a secret one. The gate
+    and the vote are receiver.pass_ratios, as in backtracking.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha = params.n, params.alpha
@@ -221,10 +209,8 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
         energies = rng.standard_normal(out=buf[:m])
         energies *= sigma
         np.square(energies, out=energies)
-        agg = energies.sum(axis=1)
-        live = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
-        passes = vote(energies[live, :alpha], energies[live, alpha:], rcfg.r, rcfg.upsilon, rng)
-        accepted += int((passes / rcfg.upsilon > rcfg.p_noise_threshold).sum())
+        ratios = pass_ratios(energies, slice(alpha), slice(alpha, None), thresholds, rcfg, rng)
+        accepted += int((ratios > rcfg.p_noise_threshold).sum())
     return _estimate_row(0, cfg.trials, accepted)
 
 

@@ -133,7 +133,7 @@ def run_session(
     the attack. Honest runs end verified with commit and verify times equal.
     """
     if receiver is None:
-        receiver = ReceiverConfig(r=min(8, params.alpha))
+        receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
     state = ProtocolState(t_max_tof_ns=max_range_m / SPEED_OF_LIGHT_M_PER_NS)
     attacked = replay_delay_ns > 0
     commit_delay = replay_delay_ns / 2.0 if attacked else 0.0

@@ -7,8 +7,8 @@ gamma_lower, not above the path-loss ceiling gamma_upper)? Do the slots that
 should hold pulses actually outshine the slots that should be empty
 (repeated random-sample comparison)? And is there an earlier copy of the
 same code on the timeline that the acquisition lock skipped (backtracking)?
-The second question is vote(), the package's one repeated-comparison
-kernel, which the Monte-Carlo estimators share.
+pass_ratios() answers the first two for a batch of candidate frames, voting
+through vote(); backtracking and the Monte-Carlo estimators share both.
 
 An aggregate above the ceiling is treated as a hard alarm: no honest channel
 can add energy, so surplus energy is evidence of injected pulses regardless
@@ -144,14 +144,10 @@ def robust_code_verification(
     strictly exceeds the empty-slot aggregate. Ties fail: a window with no
     energy anywhere scores 0.0, not 1.0, so noiseless backtracking never
     mistakes silence for the code. The code is declared present when the
-    pass ratio beats the noise baseline.
+    pass ratio beats the noise baseline; it is pass_ratios on one row, ungated.
     """
-    energies = np.asarray(energies, dtype=np.float64)
-    bin_alpha, bin_beta = bins(code)
-    if rng is None:
-        rng = np.random.default_rng(cfg.rng_seed)
-    passes = vote(energies[None, bin_alpha], energies[None, bin_beta], cfg.r, cfg.upsilon, rng)
-    ratio = float(passes[0]) / cfg.upsilon
+    energies = np.asarray(energies, dtype=np.float64)[None]
+    ratio = float(pass_ratios(energies, *bins(code), Thresholds(0.0, math.inf), cfg, rng)[0])
     return ratio, ratio > cfg.p_noise_threshold
 
 
@@ -216,6 +212,34 @@ def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
     return sums
 
 
+def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: ReceiverConfig,
+                rng=None, live=None, aggregates=None) -> np.ndarray:
+    """Vote ratio of each candidate frame (a row of energies): the one acceptance rule.
+
+    nan where the row's aggregate lies outside [gamma_lower, gamma_upper]
+    or live is False; 0.0 for a row with no energy at all, without voting,
+    since every strict vote on it ties; otherwise the row's vote() passes
+    over upsilon, the voted rows going to vote() in row order. bin_alpha and
+    bin_beta index the columns of each bin; aggregates, when given, are the
+    row sums. With rng None, default_rng(cfg.rng_seed) is built only when a
+    row is voted. A candidate is accepted when its ratio exceeds
+    cfg.p_noise_threshold, which nan never does.
+    """
+    agg = energies.sum(axis=1) if aggregates is None else aggregates
+    gated = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
+    if live is not None:
+        gated &= live
+    ratios = np.where(gated, 0.0, np.nan)
+    voted = gated & (agg > 0.0)
+    if rng is None and voted.any():
+        rng = np.random.default_rng(cfg.rng_seed)
+    # one copy per bin; vote() checks r against the bins even with no row voted
+    passes = vote(energies[:, bin_alpha][voted], energies[:, bin_beta][voted], cfg.r,
+                  cfg.upsilon, rng)
+    ratios[voted] = passes / cfg.upsilon
+    return ratios
+
+
 def backtrack_detect(
     timeline: FrameTimeline,
     code: VerificationCode,
@@ -251,18 +275,8 @@ def backtrack_detect(
     # the scan aborts at the first over-ceiling candidate, in scan order
     hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
     scanned = int(hot[0]) + 1 if len(hot) else len(starts)
-    plausible = (aggregates[:scanned] >= thresholds.gamma_lower) & (
-        aggregates[:scanned] <= thresholds.gamma_upper
-    )
-    # a window with zero energy everywhere loses every strict vote exactly
-    voted = plausible & (aggregates[:scanned] > 0.0)
-    ratios = np.where(plausible, 0.0, np.nan)
-    if voted.any():
-        bin_alpha, bin_beta = bins(code)
-        rows = energies[:scanned][voted]
-        rng = np.random.default_rng(cfg.rng_seed)
-        passes = vote(rows[:, bin_alpha], rows[:, bin_beta], cfg.r, cfg.upsilon, rng)
-        ratios[voted] = passes / cfg.upsilon
+    ratios = pass_ratios(energies[:scanned], *bins(code), thresholds, cfg,
+                         aggregates=aggregates[:scanned])
 
     diag = dict(
         candidate_toas_ns=tuple(toas[:scanned].tolist()),
@@ -271,7 +285,6 @@ def backtrack_detect(
     )
     if len(hot):
         return DetectionOutcome(verdict=VERDICT_ATTACK, reason=REASON_ENERGY, **diag)
-    # nan (never voted) compares False, so it is never accepted
     accepted = toas[:scanned][ratios > cfg.p_noise_threshold]
     if len(accepted) == 0:
         return DetectionOutcome(verdict=VERDICT_NO_CODE, **diag)

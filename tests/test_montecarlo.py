@@ -1,11 +1,12 @@
 """Trial harness: seeding, interval math, agreement with the closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from uwblab import receiver
+from uwblab import montecarlo, receiver
 from uwblab.analytic import prob_evade_rcv
 from uwblab.channel import LinkModel, power_ratio
 from uwblab.codec import CodeParams
@@ -71,6 +72,27 @@ def test_attack_no_injection_noiseless_never_wins(link):
     assert run_grid(cfg)[0].successes == 0
 
 
+def test_attack_casts_no_vote_on_decided_trials(monkeypatch):
+    # at the estimators benchmark's attack geometry every trial at k = 100 is
+    # over the energy ceiling, so no row may reach the vote; k = 0 shows that
+    # the count sees the votes the metric does cast
+    rows = []
+
+    def counting_vote(e_alpha, *args):
+        rows.append(len(e_alpha))
+        return vote(e_alpha, *args)
+
+    monkeypatch.setattr(receiver, "vote", counting_vote)
+    monkeypatch.setattr(montecarlo, "vote", counting_vote)
+    link = LinkModel(d1_m=10.0, d2_m=5.0, sigma_n2=1e-7)
+    cfg = TrialConfig(params=CodeParams(n=150, alpha=50, beta=100, r=8), link=link,
+                      k_grid=(100,), trials=1024, metric="attack", receiver=ReceiverConfig(r=8))
+    assert run_grid(cfg)[0].successes == 0
+    assert sum(rows) == 0
+    run_grid(dataclasses.replace(cfg, k_grid=(0,)))
+    assert sum(rows) > 0
+
+
 def test_evade_matches_analytic_within_4se():
     params = CodeParams(n=30, alpha=10, beta=20, r=2)
     cfg = TrialConfig(params=params, k_grid=(6, 15, 24), trials=40000,
@@ -132,7 +154,7 @@ def test_stream_pin_attack():
     cfg = TrialConfig(params=CodeParams(n=30, alpha=10, beta=20, r=4), link=link,
                       k_grid=(0, 6, 15), trials=PIN_TRIALS, base_seed=5, metric="attack",
                       receiver=ReceiverConfig(r=4, upsilon=20))
-    assert [row.successes for row in run_grid(cfg)] == [2426, 5992, 1086]
+    assert [row.successes for row in run_grid(cfg)] == [2438, 5996, 1087]
 
 
 @pytest.mark.parametrize("r, expected", [(1, 52), (2, 216)])

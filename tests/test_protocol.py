@@ -51,6 +51,15 @@ def test_honest_session_verifies_exactly():
         assert state.t_commit_tof_ns == pytest.approx(10.0 / SPEED_OF_LIGHT_M_PER_NS)
 
 
+def test_default_receiver_fits_a_small_empty_bin():
+    # the default sample size is capped by both bins: r = min(8, alpha) = 8
+    # would exceed the two-slot empty bin
+    params = CodeParams(n=12, alpha=10, beta=2, ts_ns=100.0, tp_ns=2.0, r=2)
+    state = run_session(params, LinkModel(d1_m=10.0, d2_m=0.0), seed=1)
+    assert state.phase == PHASE_VERIFIED
+    assert state.t_verify_tof_ns == pytest.approx(state.t_commit_tof_ns)
+
+
 def test_replay_session_alarms_on_tof_mismatch():
     for seed in range(3):
         state = run_session(PARAMS, replay_link(), seed=seed,

@@ -213,6 +213,46 @@ def test_vote_whole_bins_is_all_or_nothing(case):
     assert passes.tolist() == np.where(wins, upsilon, 0).tolist()
 
 
+@st.composite
+def candidate_cases(draw):
+    """Integer-energy candidate rows, some all-zero, with a window and a live mask."""
+    rows, alpha, beta = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    n = alpha + beta
+    cells = st.lists(st.integers(0, 4), min_size=rows * n, max_size=rows * n)
+    e = np.array(draw(cells), dtype=np.float64).reshape(rows, n)
+    flags = st.lists(st.booleans(), min_size=rows, max_size=rows).map(np.array)
+    e[draw(flags)] = 0.0
+    # a floor of 0 lets all-zero rows through the gate
+    lower = draw(st.just(0) | st.integers(1, 2 * n))
+    thr = Thresholds(float(lower), float(lower + draw(st.integers(1, 3 * n))))
+    perm = np.array(draw(st.permutations(range(n))))
+    cfg = ReceiverConfig(r=draw(st.integers(1, min(alpha, beta))), upsilon=draw(st.integers(1, 30)),
+                         rng_seed=draw(st.integers(0, 2**32)))
+    return e, np.sort(perm[:alpha]), np.sort(perm[alpha:]), thr, cfg, draw(st.none() | flags)
+
+
+@VOTE_PROPERTY
+@given(candidate_cases())
+def test_pass_ratios_gate_zero_rule_and_vote(case):
+    e, bin_alpha, bin_beta, thr, cfg, live = case
+    ratios = receiver.pass_ratios(e, bin_alpha, bin_beta, thr, cfg, live=live)
+    agg = e.sum(axis=1)
+    gated = (agg >= thr.gamma_lower) & (agg <= thr.gamma_upper)
+    if live is not None:
+        gated &= live
+    assert (np.isnan(ratios) == ~gated).all()
+    assert (ratios[gated & (agg == 0.0)] == 0.0).all()
+    voted = gated & (agg > 0.0)
+    counts = ratios[voted] * cfg.upsilon
+    assert ((counts >= 0) & (counts <= cfg.upsilon)).all()
+    assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+    # the voted rows go to vote() in row order, on default_rng(cfg.rng_seed)
+    rows = e[voted]
+    passes = vote(rows[:, bin_alpha], rows[:, bin_beta], cfg.r, cfg.upsilon,
+                  np.random.default_rng(cfg.rng_seed))
+    assert (ratios[voted] == passes / cfg.upsilon).all()
+
+
 # chi-square quantiles at 1 - 1e-6 for 4 and 9 degrees of freedom
 CHI2_CRIT = {4: 33.377, 9: 44.811}
 
