@@ -20,7 +20,6 @@ code = code_from_line("0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0")
 plan = AttackPlan(
     slots=np.array((0, 1, 4, 6, 7, 8, 11, 12, 16, 17)),
     phases=np.array((1, 1, -1, 1, -1, 1, -1, 1, -1, -1)),
-    powers=np.ones(10),
 )
 timeline = synthesize_timeline(code, unity_link(), attack=plan)
 received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]

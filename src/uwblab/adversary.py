@@ -7,7 +7,7 @@ might sit there, and separately replay an amplified copy of the overheard
 frame some delay later so the receiver locks onto the late copy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,32 +17,26 @@ from .channel import FrameTimeline
 
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
-    """k injected pulses (slot, phase, power).
+    """k injected pulses (slot, phase).
 
-    powers are receiver-referenced multipliers: 1.0 means the injected
-    pulse arrives with the adversary's nominal received power. plan_attack
-    draws unit powers.
+    Every injection arrives with the adversary's received power, which the
+    link sets (LinkModel.p_adv_sent at d3_m).
     """
 
     slots: np.ndarray
     phases: np.ndarray
-    powers: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         slots = np.asarray(self.slots, dtype=np.int64)
         phases = np.asarray(self.phases, dtype=np.int8)
-        powers = np.asarray(self.powers, dtype=np.float64)
-        if not (slots.shape == phases.shape == powers.shape) or slots.ndim != 1:
-            raise ValueError("slots, phases and powers must be parallel vectors")
+        if slots.shape != phases.shape or slots.ndim != 1:
+            raise ValueError("slots and phases must be parallel vectors")
         if len(set(slots.tolist())) != len(slots):
             raise ValueError("injection slots must be distinct")
         # abs(-128) is -128 in int8, which still differs from 1
         if (np.abs(phases) != 1).any():
             raise ValueError("phases must be -1 or +1")
-        if (powers < 0).any():
-            raise ValueError("powers must be nonnegative")
-        for name, arr in (("slots", slots), ("phases", phases), ("powers", powers)):
+        for name, arr in (("slots", slots), ("phases", phases)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -58,20 +52,14 @@ def plan_attack(
 ) -> AttackPlan:
     """Draw an attack: k distinct uniform slots, independent random phases.
 
-    Positions and phases come from independent child streams of the seed;
-    every injection has unit power.
+    Positions and phases come from independent child streams of the seed.
     """
     if not 0 <= k <= code_params.n:
         raise ValueError("cannot inject more pulses than there are slots")
     pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
     slots = np.random.default_rng(pos_ss).choice(code_params.n, size=k, replace=False)
     phases = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=k).astype(np.int8) - 1
-    return AttackPlan(
-        slots=slots,
-        phases=phases,
-        powers=np.ones(k),
-        seed=seed,
-    )
+    return AttackPlan(slots=slots, phases=phases)
 
 
 def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> FrameTimeline:
@@ -98,20 +86,12 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
     peak_auth = np.abs(amps[timeline.slot_bins(timeline.start_bin)]).max()
     peak_copy = np.abs(amps[copy_bins]).max()
     lock = copy_start if peak_copy >= peak_auth else timeline.start_bin
-    return FrameTimeline(
-        amplitudes=amps,
-        tp_ns=timeline.tp_ns,
-        ts_ns=timeline.ts_ns,
-        start_bin=timeline.start_bin,
-        lock_bin=lock,
-        auth_slot_amps=timeline.auth_slot_amps,
-        noise_seed=timeline.noise_seed,
-    )
+    return replace(timeline, amplitudes=amps, lock_bin=lock)
 
 
 def plan_to_csv(plan: AttackPlan) -> str:
-    """CSV dump (slot, phase, power) with a schema header."""
-    lines = ["# schema=1", "slot,phase,power"]
-    for s, ph, pw in zip(plan.slots, plan.phases, plan.powers):
-        lines.append("%d,%d,%.12g" % (s, ph, pw))
+    """CSV dump (slot, phase) with a schema header."""
+    lines = ["# schema=1", "slot,phase"]
+    for s, ph in zip(plan.slots, plan.phases):
+        lines.append("%d,%d" % (s, ph))
     return "\n".join(lines) + "\n"

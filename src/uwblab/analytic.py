@@ -159,7 +159,7 @@ def prob_success(
     audit passes: O(r^2) draw terms per x (O(x) at r = alpha), not O(x r^2).
     """
     _check_game(alpha, beta, r, k)
-    if zeta < 0:
+    if not zeta >= 0:  # nan fails too
         raise ValueError("headroom ratio zeta must be >= 0")
     budget = None if isinf(zeta) else alpha * (zeta - 1.0)
     terms = []
@@ -247,7 +247,7 @@ def appendix_prob_within_threshold(
     addition the budget tolerates; gamma_factor is the budget expressed as a
     multiple of the honest frame's aggregate.
     """
-    if gamma_factor < 0:
+    if not gamma_factor >= 0:  # nan fails too
         raise ValueError("gamma_factor must be >= 0")
     if not 0 <= alpha <= n or n < 1:
         raise ValueError("need 0 <= alpha <= n with n >= 1")

@@ -74,13 +74,14 @@ class LinkModel:
     sigma_n2: float = 0.0
 
     def __post_init__(self):
-        if self.d1_m <= 0 or self.d3_m <= 0:
+        # each check is one that nan fails
+        if not (self.d1_m > 0 and self.d3_m > 0):
             raise ValueError("sender and adversary distances must be positive")
-        if self.d2_m < 0:
+        if not self.d2_m >= 0:
             raise ValueError("added distance cannot be negative")
-        if self.e_db > 0:
+        if not self.e_db <= 0:
             raise ValueError("extra degradation must be <= 0 dB")
-        if self.p_sent < 0 or self.p_adv_sent < 0 or self.sigma_n2 < 0:
+        if not (self.p_sent >= 0 and self.p_adv_sent >= 0 and self.sigma_n2 >= 0):
             raise ValueError("powers and noise variance must be nonnegative")
 
 
@@ -113,17 +114,6 @@ def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
     )
 
 
-def _tap_scale(taps, ts_ns: float) -> float:
-    # post-cursor copies land inside the same integration window, so their
-    # power piles onto the slot energy; fold that into one amplitude factor
-    extra = 0.0
-    for delay_ns, atten_db in taps:
-        if not 0 < delay_ns <= ts_ns:
-            raise ValueError("tap delay must lie inside the slot window")
-        extra += 10.0 ** (atten_db / 10.0)
-    return math.sqrt(1.0 + extra)
-
-
 def signal_to_csv(amplitudes) -> str:
     """CSV dump (slot_index, amplitude, energy) of one frame's slot amplitudes."""
     lines = ["# schema=1", "slot_index,amplitude,energy"]
@@ -149,7 +139,6 @@ class FrameTimeline:
     start_bin: int
     lock_bin: int
     auth_slot_amps: np.ndarray
-    noise_seed: int | None = None
 
     def __post_init__(self):
         for name in ("amplitudes", "auth_slot_amps"):
@@ -173,7 +162,6 @@ def synthesize_timeline(
     noise_seed: int = 0,
     lead_ns: float = 800.0,
     tail_ns: float = 1100.0,
-    taps=(),
 ) -> FrameTimeline:
     """Lay one received frame onto a dense timeline.
 
@@ -181,11 +169,10 @@ def synthesize_timeline(
     tail_ns of extra record after it so a delayed copy of less than one
     slot spacing still fits. The authentic pulse in slot i contributes
     slots[i] * sqrt(worst-case power) at its slot bin; each injection adds
-    phase * sqrt(power * adversary received power) at the same bin, so
+    phase * sqrt(adversary received power) at the same bin, so
     annihilation and amplification fall out of plain amplitude addition.
-    Multipath taps (delay_ns, atten_db) scale the authentic and injected
-    amplitudes by one factor before noise; every bin carries independent
-    N(0, sigma_n2) noise. One frame at slot resolution is
+    Every bin carries independent N(0, sigma_n2) noise drawn from
+    noise_seed. One frame at slot resolution is
     amplitudes[slot_bins(start_bin)].
     """
     params = code.params
@@ -194,7 +181,6 @@ def synthesize_timeline(
     start_bin = int(round(lead_ns / tp))
     nbins = start_bin + params.n * stride + int(round(tail_ns / tp))
     auth = code.slots.astype(np.float64) * math.sqrt(worst_case_rx_power(link))
-    scale = _tap_scale(taps, ts)
 
     if link.sigma_n2 > 0:
         rng = np.random.default_rng(noise_seed)
@@ -202,12 +188,12 @@ def synthesize_timeline(
     else:
         amps = np.zeros(nbins)
     bins_at = start_bin + np.arange(params.n) * stride
-    amps[bins_at] += auth * scale
+    amps[bins_at] += auth
     if attack is not None:
         if len(attack.slots) and (attack.slots.min() < 0 or attack.slots.max() >= params.n):
             raise ValueError("attack slots outside the frame")
-        adv = math.sqrt(adversary_rx_power(link)) * scale
-        amps[bins_at[attack.slots]] += attack.phases * np.sqrt(attack.powers) * adv
+        adv = math.sqrt(adversary_rx_power(link))
+        amps[bins_at[attack.slots]] += attack.phases * adv
     return FrameTimeline(
         amplitudes=amps,
         tp_ns=tp,
@@ -215,5 +201,4 @@ def synthesize_timeline(
         start_bin=start_bin,
         lock_bin=start_bin,
         auth_slot_amps=auth,
-        noise_seed=noise_seed,
     )

@@ -260,11 +260,7 @@ def cmd_example(args) -> int:
     alpha_fig = code.params.alpha
     lam_b2_scaled = float("%.2g" % (lam_b2 * 1e6))
     gamma_worked = alpha_fig * lam_b2_scaled
-    plan = AttackPlan(
-        slots=np.array(FIG_INJECT_SLOTS),
-        phases=np.array(FIG_INJECT_PHASES),
-        powers=np.ones(len(FIG_INJECT_SLOTS)),
-    )
+    plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES)
     timeline = synthesize_timeline(code, unity_link(), attack=plan)
     received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]
     energies = received**2

@@ -44,7 +44,6 @@ class VerificationCode:
 
     params: CodeParams
     slots: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         slots = np.asarray(self.slots, dtype=np.int8)
@@ -74,7 +73,7 @@ def generate_code(params: CodeParams, seed: int) -> VerificationCode:
         )
         signs = np.random.default_rng(phase_ss).integers(0, 2, size=params.alpha)
         slots[pulse_at] = 2 * signs.astype(np.int8) - 1
-    return VerificationCode(params=params, slots=slots, seed=seed)
+    return VerificationCode(params=params, slots=slots)
 
 
 def bins(code: VerificationCode) -> tuple[np.ndarray, np.ndarray]:

@@ -55,6 +55,8 @@ class TrialConfig:
             raise ValueError("need at least one trial")
         if self.metric not in (METRIC_EVADE, METRIC_ATTACK):
             raise ValueError("metric must be 'evade' or 'attack'")
+        if not math.isfinite(self.replay_gain_db):
+            raise ValueError("replay gain must be finite")
         for k in self.k_grid:
             if not 0 <= k <= self.params.n:
                 raise ValueError("k must lie in 0..n")
@@ -127,10 +129,10 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
 
     Only the delayed copy and the authentic frame alignment are simulated;
     assuming every other offset rejected is an unchecked shortcut (ROADMAP
-    4(c)). Success means the receiver accepts the delayed copy, rejects the
-    authentic frame, and never sees an aggregate above the energy ceiling.
-    Trials over the ceiling cast no vote, and the copy is voted only where
-    the authentic frame stayed hidden.
+    direction 12). Success means the receiver accepts the delayed copy,
+    rejects the authentic frame, and never sees an aggregate above the
+    energy ceiling. Trials over the ceiling cast no vote, and the copy is
+    voted only where the authentic frame stayed hidden.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha, beta = params.n, params.alpha, params.beta

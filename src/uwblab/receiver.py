@@ -46,14 +46,13 @@ class ReceiverConfig:
 
     upsilon repeated sample comparisons vote on code presence; the vote
     ratio must exceed p_noise_threshold, set above what pure noise can
-    reach. Backtracking steps backtrack_step_ns at a time over a window of
-    backtrack_window_ns.
+    reach. Backtracking steps back one timeline bin (the pulse width tp_ns)
+    at a time over a window of backtrack_window_ns.
     """
 
     r: int = 8
     upsilon: int = 100
     p_noise_threshold: float = 0.8
-    backtrack_step_ns: float = 2.0
     backtrack_window_ns: float = 660.0
     rng_seed: int = 0
 
@@ -62,8 +61,8 @@ class ReceiverConfig:
             raise ValueError("need at least one vote")
         if not 0 < self.p_noise_threshold < 1:
             raise ValueError("vote threshold must lie in (0, 1)")
-        if self.backtrack_step_ns <= 0 or self.backtrack_window_ns < 0:
-            raise ValueError("backtracking geometry must be positive")
+        if not 0 <= self.backtrack_window_ns < math.inf:
+            raise ValueError("backtracking window must be finite and nonnegative")
         if self.r < 1:
             raise ValueError("sample size must be at least 1")
 
@@ -250,7 +249,8 @@ def backtrack_detect(
     """Scan earlier frame alignments for a hidden authentic copy.
 
     Starting from the acquisition lock, candidate frame starts step earlier
-    by backtrack_step_ns over backtrack_window_ns. Any candidate whose
+    one bin (tp_ns) at a time, int(backtrack_window_ns / tp_ns) + 1 of them
+    where the timeline reaches back that far. Any candidate whose
     aggregate exceeds the ceiling aborts the scan as an attack; candidates
     below the noise floor are skipped; the rest take the code vote. Among
     accepted candidates the earliest time of arrival wins, since a replayed
@@ -261,9 +261,8 @@ def backtrack_detect(
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
 
-    step_bins = max(1, int(round(cfg.backtrack_step_ns / timeline.tp_ns)))
-    n_steps = int(cfg.backtrack_window_ns / cfg.backtrack_step_ns)
-    starts = np.arange(timeline.lock_bin, -1, -step_bins)[: n_steps + 1]
+    n_steps = int(cfg.backtrack_window_ns / timeline.tp_ns)
+    starts = np.arange(timeline.lock_bin, -1, -1)[: n_steps + 1]
     if len(starts) == 0:
         raise ValueError("timeline does not cover the backtracking window")
 

@@ -11,11 +11,11 @@ from uwblab.codec import CodeParams, bins, generate_code
 
 
 def test_plan_validation():
-    AttackPlan(slots=(0, 3), phases=(1, -1), powers=(1.0, 1.0))
+    AttackPlan(slots=(0, 3), phases=(1, -1))
     with pytest.raises(ValueError):
-        AttackPlan(slots=(0, 0), phases=(1, 1), powers=(1.0, 1.0))
+        AttackPlan(slots=(0, 0), phases=(1, 1))
     with pytest.raises(ValueError):
-        AttackPlan(slots=(0,), phases=(2,), powers=(1.0,))
+        AttackPlan(slots=(0,), phases=(2,))
 
 
 def test_replay_delay_inside_slot_spacing():
@@ -99,24 +99,24 @@ def test_plan_csv_schema():
     plan = plan_attack(CodeParams(n=10, alpha=3, beta=7, r=2), k=3, seed=1)
     lines = plan_to_csv(plan).strip().split("\n")
     assert lines[0] == "# schema=1"
-    assert lines[1] == "slot,phase,power"
+    assert lines[1] == "slot,phase"
     assert len(lines) == 5
 
 
 @pytest.mark.parametrize("bad", [0, 2, -128])
 def test_plan_rejects_phase_outside_plus_minus_one(bad):
     with pytest.raises(ValueError, match="phases"):
-        AttackPlan(slots=(0, 3), phases=np.array([1, bad], dtype=np.int8), powers=(1.0, 1.0))
+        AttackPlan(slots=(0, 3), phases=np.array([1, bad], dtype=np.int8))
 
 
 def test_plan_rejects_non_adjacent_duplicate_slots():
     with pytest.raises(ValueError, match="distinct"):
-        AttackPlan(slots=(3, 1, 3), phases=(1, -1, 1), powers=(1.0, 1.0, 1.0))
+        AttackPlan(slots=(3, 1, 3), phases=(1, -1, 1))
 
 
 def test_plan_accepts_zero_and_one_injection():
-    assert AttackPlan(slots=(), phases=(), powers=()).k == 0
-    assert AttackPlan(slots=(5,), phases=(-1,), powers=(1.0,)).k == 1
+    assert AttackPlan(slots=(), phases=()).k == 0
+    assert AttackPlan(slots=(5,), phases=(-1,)).k == 1
     assert plan_attack(CodeParams(n=6, alpha=2, beta=4, r=1), k=0, seed=3).k == 0
 
 
@@ -130,6 +130,5 @@ def test_plan_attack_invariants(n, data, seed):
     assert len(set(plan.slots.tolist())) == k
     assert all(0 <= s < n for s in plan.slots.tolist())
     assert set(plan.phases.tolist()) <= {-1, 1}
-    assert plan.powers.tolist() == [1.0] * k
     again = plan_attack(params, k, seed=seed)
     assert plan_to_csv(again) == plan_to_csv(plan)

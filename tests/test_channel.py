@@ -90,8 +90,7 @@ def test_figure_received_row():
     # the worked end-to-end superposition: 10 injections, 3 annihilate,
     # 2 amplify, 5 land on empty slots
     code = code_from_line(FIG_SENT)
-    plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES,
-                      powers=(1.0,) * 10)
+    plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES)
     amps = frame_amps(code, unity_link(), attack=plan, noise_seed=0)
     assert np.allclose(amps, FIG_RECEIVED, atol=1e-9)
     energies = amps ** 2
@@ -103,9 +102,9 @@ def test_superposition_cases():
     line = "1,0"
     code = code_from_line(line, r=1)
     link = unity_link()
-    cancel = AttackPlan(slots=(0,), phases=(-1,), powers=(1.0,))
-    double = AttackPlan(slots=(0,), phases=(1,), powers=(1.0,))
-    empty = AttackPlan(slots=(1,), phases=(1,), powers=(1.0,))
+    cancel = AttackPlan(slots=(0,), phases=(-1,))
+    double = AttackPlan(slots=(0,), phases=(1,))
+    empty = AttackPlan(slots=(1,), phases=(1,))
     assert abs(frame_amps(code, link, attack=cancel)[0]) < 1e-9
     assert abs(frame_amps(code, link, attack=double)[0] ** 2 - 4.0) < 1e-9
     assert abs(frame_amps(code, link, attack=empty)[1] ** 2 - 1.0) < 1e-9
@@ -118,19 +117,6 @@ def test_noise_statistics():
     noise = frame_amps(code, link, noise_seed=5) - frame_amps(code, unity_link())
     assert abs(float(noise.mean())) < 0.05
     assert abs(float(noise.var()) - 0.25) < 0.02
-
-
-def test_multipath_tap_folds_energy():
-    code = code_from_line("1,0", r=1)
-    link = unity_link()
-    # the injected pulse in the empty slot rides the same channel
-    inject = AttackPlan(slots=(1,), phases=(1,), powers=(1.0,))
-    amps = frame_amps(code, link, attack=inject, taps=((0.5, -3.0),))
-    gain = 1.0 + 10 ** (-3.0 / 10.0)
-    assert abs(amps[0] ** 2 - gain) < 1e-9
-    assert abs(amps[1] ** 2 - gain) < 1e-9
-    with pytest.raises(ValueError):
-        synthesize_timeline(code, link, taps=((1500.0, -3.0),))
 
 
 def test_signal_csv_schema():

@@ -215,6 +215,19 @@ def test_parameter_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("analytic", "--formula", "psa", "--zeta", "nan", "--k", "10"), "zeta"),
+    (("analytic", "--formula", "pthreshold", "--gamma-factor", "nan"), "gamma_factor"),
+    (("simulate", "--metric", "attack", "--k", "10", "--gain", "nan"), "replay gain"),
+    (("example", "--d1", "nan"), "distances"),
+])
+def test_nan_parameter_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

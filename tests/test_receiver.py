@@ -382,6 +382,26 @@ def test_backtrack_silence_finds_nothing():
     assert all(r == 0.0 for r in out.pass_ratios)
 
 
+def test_backtrack_lattice_steps_one_bin():
+    # candidates start at the lock and step back one bin, tp_ns, at a time:
+    # int(window / tp) + 1 of them, or down to bin 0 on a shorter timeline
+    link = unity_link()
+    for tp_ns, window_ns, lock in itertools.product((1.0, 2.0, 3.0, 5.0),
+                                                    (0.0, 40.0, 41.0), (60, 3)):
+        params = CodeParams(n=12, alpha=4, beta=8, ts_ns=100.0, tp_ns=tp_ns, r=2)
+        code = generate_code(params, seed=2)
+        tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * 200), tp_ns=tp_ns,
+                           ts_ns=100.0, start_bin=lock, lock_bin=lock,
+                           auth_slot_amps=np.zeros(params.n))
+        cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
+        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+        count = min(int(window_ns / tp_ns) + 1, lock + 1)
+        assert out.candidate_toas_ns == tuple((lock - i) * tp_ns for i in range(count))
+    for bad in (-2.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="window"):
+            ReceiverConfig(backtrack_window_ns=bad)
+
+
 def test_backtrack_phase_flip_invariant():
     params = small_params()
     code = generate_code(params, seed=2)
