@@ -9,26 +9,19 @@ carry. This reproduces the shipped walk-through; `uwblab example` prints
 the same story with the power budget spelled out in physical units.
 """
 
-import numpy as np
-
 from uwblab.adversary import AttackPlan
 from uwblab.channel import synthesize_timeline, unity_link
 from uwblab.codec import code_from_line
 from uwblab.receiver import Thresholds, attack_plausibility
 
 code = code_from_line("0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0")
-plan = AttackPlan(
-    slots=np.array((0, 1, 4, 6, 7, 8, 11, 12, 16, 17)),
-    phases=np.array((1, 1, -1, 1, -1, 1, -1, 1, -1, -1)),
-)
+plan = AttackPlan(phases=(1, 1, 0, 0, -1, 0, 1, -1, 1, 0, 0, -1, 1, 0, 0, 0, -1, -1))
 timeline = synthesize_timeline(code, unity_link(), attack=plan)
 received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]
 energies = received**2
 
 print("sent:     %s" % ",".join("%+d" % s for s in code.slots))
-injected = np.zeros(code.params.n, dtype=int)
-injected[plan.slots] = plan.phases
-print("injected: %s" % ",".join("%+d" % s if s else " 0" for s in injected))
+print("injected: %s" % ",".join("%+d" % s if s else " 0" for s in plan.phases))
 print("received: %s" % ",".join("%+d" % round(a) for a in received))
 print("energies: %s" % ",".join("%2d" % round(v) for v in energies))
 

@@ -17,32 +17,30 @@ from .channel import FrameTimeline
 
 @dataclass(frozen=True, eq=False)
 class AttackPlan:
-    """k injected pulses (slot, phase).
+    """Injected pulses, one phase per slot: phases[i] in {-1, 0, +1}, 0 where none.
 
-    Every injection arrives with the adversary's received power, which the
-    link sets (LinkModel.p_adv_sent at d3_m).
+    The form of VerificationCode.slots. Every injection arrives with the
+    adversary's received power, which the link sets (p_adv_sent at d3_m).
     """
 
-    slots: np.ndarray
     phases: np.ndarray
 
     def __post_init__(self):
-        slots = np.asarray(self.slots, dtype=np.int64)
         phases = np.asarray(self.phases, dtype=np.int8)
-        if slots.shape != phases.shape or slots.ndim != 1:
-            raise ValueError("slots and phases must be parallel vectors")
-        if len(set(slots.tolist())) != len(slots):
-            raise ValueError("injection slots must be distinct")
-        # abs(-128) is -128 in int8, which still differs from 1
-        if (np.abs(phases) != 1).any():
-            raise ValueError("phases must be -1 or +1")
-        for name, arr in (("slots", slots), ("phases", phases)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # a range test, not abs(phases) <= 1: abs(-128) is -128 in int8
+        if phases.ndim != 1 or ((phases < -1) | (phases > 1)).any():
+            raise ValueError("phases must be one vector of -1, 0 or +1 per slot")
+        phases.setflags(write=False)
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def slots(self) -> np.ndarray:
+        """Injected slot indices, ascending."""
+        return np.flatnonzero(self.phases)
 
     @property
     def k(self) -> int:
-        return len(self.slots)
+        return int(np.count_nonzero(self.phases))
 
 
 def plan_attack(
@@ -58,8 +56,9 @@ def plan_attack(
         raise ValueError("cannot inject more pulses than there are slots")
     pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
     slots = np.random.default_rng(pos_ss).choice(code_params.n, size=k, replace=False)
-    phases = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=k).astype(np.int8) - 1
-    return AttackPlan(slots=slots, phases=phases)
+    phases = np.zeros(code_params.n, dtype=np.int8)
+    phases[slots] = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=k) - 1
+    return AttackPlan(phases=phases)
 
 
 def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> FrameTimeline:
@@ -90,8 +89,8 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
 
 
 def plan_to_csv(plan: AttackPlan) -> str:
-    """CSV dump (slot, phase) with a schema header."""
+    """CSV dump (slot, phase) of the injected slots in slot order, with a schema header."""
     lines = ["# schema=1", "slot,phase"]
-    for s, ph in zip(plan.slots, plan.phases):
-        lines.append("%d,%d" % (s, ph))
+    for s in plan.slots:
+        lines.append("%d,%d" % (s, plan.phases[s]))
     return "\n".join(lines) + "\n"

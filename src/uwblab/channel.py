@@ -5,7 +5,8 @@ slot (the energy detector integrates a whole slot window, so intra-slot
 waveform shape never matters). Powers are dimensionless "power units";
 amplitudes are their signed square roots, so a reciprocal-phase pulse of
 matching power cancels an authentic pulse exactly and an equal-phase pulse
-doubles the amplitude (quadrupling the slot energy).
+doubles the amplitude (quadrupling the slot energy). superpose() is the one
+place where link powers become slot amplitudes.
 """
 
 import math
@@ -75,10 +76,10 @@ class LinkModel:
 
     def __post_init__(self):
         # each check is one that nan fails
-        if not (self.d1_m > 0 and self.d3_m > 0):
-            raise ValueError("sender and adversary distances must be positive")
-        if not self.d2_m >= 0:
-            raise ValueError("added distance cannot be negative")
+        if not (0 < self.d1_m < math.inf and 0 < self.d3_m < math.inf):
+            raise ValueError("distances out of range: need 0 < d1_m < inf and 0 < d3_m < inf")
+        if not 0 <= self.d2_m < math.inf:
+            raise ValueError("distances out of range: need 0 <= d2_m < inf")
         if not self.e_db <= 0:
             raise ValueError("extra degradation must be <= 0 dB")
         if not (self.p_sent >= 0 and self.p_adv_sent >= 0 and self.sigma_n2 >= 0):
@@ -93,6 +94,21 @@ def worst_case_rx_power(link: LinkModel) -> float:
 def adversary_rx_power(link: LinkModel) -> float:
     """Adversary per-pulse power arriving at the receiver."""
     return expected_rx_power(link.p_adv_sent, link.d3_m, link.e_db)
+
+
+def superpose(link: LinkModel, signs, phases, gain_db: float):
+    """(received, replayed) slot amplitudes: the one superposition rule. Draws nothing.
+
+    signs (authentic pulses) and phases (injections) hold -1, 0 or +1 per
+    slot, one frame per row. received = phases * sqrt(adversary power) +
+    signs * sqrt(worst-case power); replayed is the clean authentic frame
+    scaled by gain_db. Each output is one fresh array, added to in place.
+    """
+    clean = signs * math.sqrt(worst_case_rx_power(link))
+    received = phases * math.sqrt(adversary_rx_power(link))
+    received += clean
+    clean *= 10.0 ** (gain_db / 20.0)
+    return received, clean
 
 
 def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
@@ -150,7 +166,8 @@ class FrameTimeline:
     def stride(self) -> int:
         return int(round(self.ts_ns / self.tp_ns))
 
-    def slot_bins(self, frame_start_bin: int) -> np.ndarray:
+    def slot_bins(self, frame_start_bin) -> np.ndarray:
+        """Bins of a frame's n slots; a (rows, 1) array of starts gives one row each."""
         n = len(self.auth_slot_amps)
         return frame_start_bin + np.arange(n) * self.stride
 
@@ -167,33 +184,27 @@ def synthesize_timeline(
 
     The frame starts lead_ns into the record (its time of arrival), with
     tail_ns of extra record after it so a delayed copy of less than one
-    slot spacing still fits. The authentic pulse in slot i contributes
-    slots[i] * sqrt(worst-case power) at its slot bin; each injection adds
-    phase * sqrt(adversary received power) at the same bin, so
-    annihilation and amplification fall out of plain amplitude addition.
-    Every bin carries independent N(0, sigma_n2) noise drawn from
-    noise_seed. One frame at slot resolution is
-    amplitudes[slot_bins(start_bin)].
+    slot spacing still fits. Each slot bin receives superpose()'s amplitude
+    of the code and the attack's phases. Every bin carries independent
+    N(0, sigma_n2) noise drawn from noise_seed. One frame at slot
+    resolution is amplitudes[slot_bins(start_bin)].
     """
     params = code.params
     tp, ts = params.tp_ns, params.ts_ns
     stride = int(round(ts / tp))
     start_bin = int(round(lead_ns / tp))
     nbins = start_bin + params.n * stride + int(round(tail_ns / tp))
-    auth = code.slots.astype(np.float64) * math.sqrt(worst_case_rx_power(link))
+    phases = np.zeros(params.n, dtype=np.int8) if attack is None else attack.phases
+    if len(phases) != params.n:
+        raise ValueError("attack plan length must equal the frame's n")
+    received, auth = superpose(link, code.slots, phases, 0.0)
 
     if link.sigma_n2 > 0:
         rng = np.random.default_rng(noise_seed)
         amps = rng.normal(0.0, math.sqrt(link.sigma_n2), size=nbins)
     else:
         amps = np.zeros(nbins)
-    bins_at = start_bin + np.arange(params.n) * stride
-    amps[bins_at] += auth
-    if attack is not None:
-        if len(attack.slots) and (attack.slots.min() < 0 or attack.slots.max() >= params.n):
-            raise ValueError("attack slots outside the frame")
-        adv = math.sqrt(adversary_rx_power(link))
-        amps[bins_at[attack.slots]] += attack.phases * adv
+    amps[start_bin:start_bin + params.n * stride:stride] += received
     return FrameTimeline(
         amplitudes=amps,
         tp_ns=tp,

@@ -39,8 +39,7 @@ from .receiver import (
 # the walk-through frame: 5 pulses over 18 slots, 10 random-phase
 # injections, two of which amplify and one annihilates
 FIG_SENT = "0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0"
-FIG_INJECT_SLOTS = (0, 1, 4, 6, 7, 8, 11, 12, 16, 17)
-FIG_INJECT_PHASES = (1, 1, -1, 1, -1, 1, -1, 1, -1, -1)
+FIG_INJECTED = (1, 1, 0, 0, -1, 0, 1, -1, 1, 0, 0, -1, 1, 0, 0, 0, -1, -1)
 
 FORMULAS = ("pevade", "psa", "pnoise", "pdelta", "pthreshold")
 
@@ -260,7 +259,7 @@ def cmd_example(args) -> int:
     alpha_fig = code.params.alpha
     lam_b2_scaled = float("%.2g" % (lam_b2 * 1e6))
     gamma_worked = alpha_fig * lam_b2_scaled
-    plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES)
+    plan = AttackPlan(phases=FIG_INJECTED)
     timeline = synthesize_timeline(code, unity_link(), attack=plan)
     received = timeline.amplitudes[timeline.slot_bins(timeline.start_bin)]
     energies = received**2
@@ -271,7 +270,7 @@ def cmd_example(args) -> int:
     out.append("  sent:     " + FIG_SENT)
     out.append(
         "  injected: k=%d random-phase unit pulses at slots %s (1-based)"
-        % (len(FIG_INJECT_SLOTS), ",".join(str(s + 1) for s in FIG_INJECT_SLOTS))
+        % (plan.k, ",".join(str(s + 1) for s in plan.slots))
     )
     # unit amplitudes carry float residue from the back-solved transmit
     # powers; rounding only affects the printed rows

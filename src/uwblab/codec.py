@@ -28,8 +28,9 @@ class CodeParams:
             raise ValueError("frame needs at least one slot")
         if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta != self.n:
             raise ValueError("slot counts must satisfy n = alpha + beta with alpha, beta >= 0")
-        if self.tp_ns <= 0 or self.ts_ns <= self.tp_ns:
-            raise ValueError("pulse width must be positive and smaller than the slot spacing")
+        # a chain that nan fails
+        if not 0 < self.tp_ns < self.ts_ns < np.inf:
+            raise ValueError("need 0 < tp_ns < ts_ns < inf (pulse width, slot spacing)")
         if self.alpha == 0:
             # degenerate all-empty frame, only meaningful for bin bookkeeping
             if self.r != 0:

@@ -10,8 +10,10 @@ attack actually produces (the delayed amplified copy the acquisition locks
 onto, and the earlier authentic frame the adversary tried to cancel) and
 counts the runs where the receiver ends up accepting only the delayed copy.
 
-The attack and noise games accept candidates by receiver.pass_ratios, as
-backtracking does; the evade game is one receiver.vote with the bins swapped.
+The attack game builds its frames with channel.superpose, as the session
+pipeline's timelines and replays do. The attack and noise games accept
+candidates by receiver.pass_ratios, as backtracking does; the evade game is
+one receiver.vote with the bins swapped.
 The simulated code occupies the first alpha slots. The code is uniform and
 independent of injections, signs and noise, so every slot is exchangeable
 and a fixed bin split has the same distribution as a secret one.
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .channel import LinkModel, adversary_rx_power, worst_case_rx_power
+from .channel import LinkModel, superpose
 from .codec import CodeParams
 from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios, vote
 
@@ -136,31 +138,26 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha, beta = params.n, params.alpha, params.beta
-    lam_w = math.sqrt(worst_case_rx_power(link))
-    lam_adv = math.sqrt(adversary_rx_power(link))
-    gain = 10.0 ** (cfg.replay_gain_db / 20.0)
     sigma = math.sqrt(link.sigma_n2)
     thr = compute_thresholds(link, params, link.d1_m + link.d2_m)
     pulse, empty = slice(alpha), slice(alpha, None)
     cut = rcfg.p_noise_threshold
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
-        clean = np.zeros((m, n))
-        clean[:, :alpha] = (2.0 * (rng.random((m, alpha)) < 0.5) - 1.0) * lam_w
+        signs = np.zeros((m, n))
+        signs[:, :alpha] = 2.0 * (rng.random((m, alpha)) < 0.5) - 1.0
         # k distinct uniform slots per row. Only the count x landing in the
         # pulse bin matters: slots within a bin are exchangeable and the vote
         # and gate are permutation-invariant, so hit the first x pulse slots
         # and the first k - x empty ones (_evade_successes builds rows from x)
         x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
-        inj_mask = np.empty((m, n), dtype=bool)
-        np.less(np.arange(alpha), x, out=inj_mask[:, :alpha])
-        np.less(np.arange(beta), k - x, out=inj_mask[:, alpha:])
         inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
+        inj_phases[:, :alpha][np.arange(alpha) >= x] = 0.0
+        inj_phases[:, alpha:][np.arange(beta) >= k - x] = 0.0
+        e_auth, e_copy = superpose(link, signs, inj_phases, cfg.replay_gain_db)
         # energies square (amplitudes + noise) in place, noise drawn auth first
-        e_auth = clean + np.where(inj_mask, inj_phases * lam_adv, 0.0)
         e_auth += rng.normal(0.0, sigma, (m, n))
         np.square(e_auth, out=e_auth)
-        e_copy = clean * gain
         e_copy += rng.normal(0.0, sigma, (m, n))
         np.square(e_copy, out=e_copy)
         agg_auth, agg_copy = e_auth.sum(axis=1), e_copy.sum(axis=1)

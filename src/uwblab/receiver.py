@@ -266,8 +266,7 @@ def backtrack_detect(
     if len(starts) == 0:
         raise ValueError("timeline does not cover the backtracking window")
 
-    offsets = np.arange(params.n) * timeline.stride
-    energies = timeline.amplitudes[starts[:, None] + offsets[None, :]] ** 2
+    energies = timeline.amplitudes[timeline.slot_bins(starts[:, None])] ** 2
     aggregates = energies.sum(axis=1)
     toas = starts * timeline.tp_ns
 

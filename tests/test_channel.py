@@ -5,17 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from uwblab.adversary import AttackPlan
+from uwblab.adversary import AttackPlan, plan_attack, replay_frame
 from uwblab.channel import (LinkModel, adversary_room, adversary_rx_power,
                             expected_rx_power, path_loss_db, power_ratio,
-                            signal_to_csv, synthesize_timeline,
+                            signal_to_csv, superpose, synthesize_timeline,
                             unity_link, worst_case_rx_power)
 from uwblab.codec import CodeParams, code_from_line, generate_code
 
 FIG_SENT = "0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0"
 FIG_RECEIVED = [1, 0, 0, 0, -1, -1, 2, -1, 1, 0, 0, -1, 2, 0, -1, 0, -1, -1]
-FIG_INJECT_SLOTS = (0, 1, 4, 6, 7, 8, 11, 12, 16, 17)
-FIG_INJECT_PHASES = (1, 1, -1, 1, -1, 1, -1, 1, -1, -1)
+FIG_INJECTED = (1, 1, 0, 0, -1, 0, 1, -1, 1, 0, 0, -1, 1, 0, 0, 0, -1, -1)
 
 
 def frame_amps(code, link, **kwargs):
@@ -90,7 +89,8 @@ def test_figure_received_row():
     # the worked end-to-end superposition: 10 injections, 3 annihilate,
     # 2 amplify, 5 land on empty slots
     code = code_from_line(FIG_SENT)
-    plan = AttackPlan(slots=FIG_INJECT_SLOTS, phases=FIG_INJECT_PHASES)
+    plan = AttackPlan(phases=FIG_INJECTED)
+    assert plan.k == 10
     amps = frame_amps(code, unity_link(), attack=plan, noise_seed=0)
     assert np.allclose(amps, FIG_RECEIVED, atol=1e-9)
     energies = amps ** 2
@@ -102,12 +102,37 @@ def test_superposition_cases():
     line = "1,0"
     code = code_from_line(line, r=1)
     link = unity_link()
-    cancel = AttackPlan(slots=(0,), phases=(-1,))
-    double = AttackPlan(slots=(0,), phases=(1,))
-    empty = AttackPlan(slots=(1,), phases=(1,))
+    cancel = AttackPlan(phases=(-1, 0))
+    double = AttackPlan(phases=(1, 0))
+    empty = AttackPlan(phases=(0, 1))
     assert abs(frame_amps(code, link, attack=cancel)[0]) < 1e-9
     assert abs(frame_amps(code, link, attack=double)[0] ** 2 - 4.0) < 1e-9
     assert abs(frame_amps(code, link, attack=empty)[1] ** 2 - 1.0) < 1e-9
+    with pytest.raises(ValueError, match="length"):
+        synthesize_timeline(code, link, attack=AttackPlan(phases=(1, 0, -1)))
+
+
+def test_superpose_rows_are_the_pipeline_frames():
+    # the attack metric superposes whole chunks of frames; each row must be
+    # the frame the session pipeline lays on its timeline and replays, at a
+    # link whose adversary and authentic pulses differ in power
+    link = LinkModel()
+    assert adversary_rx_power(link) != worst_case_rx_power(link) and link.sigma_n2 == 0
+    params = CodeParams(n=12, alpha=4, beta=8, r=2)
+    codes = [generate_code(params, seed) for seed in range(6)]
+    plans = [plan_attack(params, k, seed=k) for k in (0, 1, 3, 6, 9, 12)]
+    signs = np.array([code.slots for code in codes])
+    phases = np.array([plan.phases for plan in plans])
+    gain_db, delay_ns = 6.0, 200.0
+    # the metric passes float64 rows, the pipeline int8 vectors
+    for dtype in (np.int8, np.float64):
+        received, replayed = superpose(link, signs.astype(dtype), phases.astype(dtype), gain_db)
+        for code, plan, rx, copy in zip(codes, plans, received, replayed):
+            tl = synthesize_timeline(code, link, attack=plan)
+            assert np.array_equal(rx, tl.amplitudes[tl.slot_bins(tl.start_bin)])
+            shift = round(delay_ns / tl.tp_ns)
+            replay = replay_frame(tl, delay_ns, gain_db)
+            assert np.array_equal(copy, replay.amplitudes[replay.slot_bins(tl.start_bin + shift)])
 
 
 def test_noise_statistics():

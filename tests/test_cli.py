@@ -220,6 +220,8 @@ def test_parameter_errors_exit_2(capsys):
     (("analytic", "--formula", "pthreshold", "--gamma-factor", "nan"), "gamma_factor"),
     (("simulate", "--metric", "attack", "--k", "10", "--gain", "nan"), "replay gain"),
     (("example", "--d1", "nan"), "distances"),
+    (("example", "--d1", "inf"), "d1_m"),
+    (("example", "--d2", "inf"), "d2_m"),
 ])
 def test_nan_parameter_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -17,6 +17,11 @@ def test_params_validation():
         CodeParams(n=10, alpha=0, beta=10, r=1)
     with pytest.raises(ValueError):
         CodeParams(n=10, alpha=4, beta=6, r=2, ts_ns=-1.0)
+    # nan fails every comparison, so the range check must be one nan fails
+    with pytest.raises(ValueError, match="tp_ns"):
+        CodeParams(n=10, alpha=4, beta=6, r=2, tp_ns=float("nan"))
+    with pytest.raises(ValueError, match="ts_ns"):
+        CodeParams(n=10, alpha=4, beta=6, r=2, ts_ns=float("inf"))
 
 
 def test_generate_code_counts_and_phases():
