@@ -11,8 +11,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .codec import CodeParams
-from .channel import FrameTimeline
+from .codec import CodeParams, _draw_slots, _unit_slots
+from .channel import FrameTimeline, superpose
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +26,7 @@ class AttackPlan:
     phases: np.ndarray
 
     def __post_init__(self):
-        phases = np.asarray(self.phases, dtype=np.int8)
-        # a range test, not abs(phases) <= 1: abs(-128) is -128 in int8
-        if phases.ndim != 1 or ((phases < -1) | (phases > 1)).any():
-            raise ValueError("phases must be one vector of -1, 0 or +1 per slot")
-        phases.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
+        object.__setattr__(self, "phases", _unit_slots(self.phases, "phases"))
 
     @property
     def slots(self) -> np.ndarray:
@@ -50,37 +45,35 @@ def plan_attack(
 ) -> AttackPlan:
     """Draw an attack: k distinct uniform slots, independent random phases.
 
-    Positions and phases come from independent child streams of the seed.
+    It is the draw of a code with k pulses: plan_attack(params, params.alpha,
+    seed).phases equals generate_code(params, seed).slots.
     """
     if not 0 <= k <= code_params.n:
         raise ValueError("cannot inject more pulses than there are slots")
-    pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
-    slots = np.random.default_rng(pos_ss).choice(code_params.n, size=k, replace=False)
-    phases = np.zeros(code_params.n, dtype=np.int8)
-    phases[slots] = 2 * np.random.default_rng(phase_ss).integers(0, 2, size=k) - 1
-    return AttackPlan(phases=phases)
+    return AttackPlan(phases=_draw_slots(code_params.n, k, seed))
 
 
 def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> FrameTimeline:
     """Add a delayed, amplified copy of the overheard authentic frame.
 
-    The copy is the clean authentic frame (the adversary recorded it before
-    its own injections reached the receiver) scaled by gain_db and shifted
-    by delay_ns. The delay must stay inside one slot spacing or the
+    The copy is superpose()'s replayed frame of the timeline's code and link:
+    the clean authentic frame (the adversary recorded it before its own
+    injections reached the receiver) scaled by gain_db, here shifted by
+    delay_ns. The delay must stay inside one slot spacing or the
     round-trip bookkeeping would already give the replay away. Acquisition
     lock moves to whichever frame copy now holds the strongest pulse, the
     later copy winning ties.
     """
-    if not 0 < delay_ns < timeline.ts_ns:
+    params = timeline.code.params
+    if not 0 < delay_ns < params.ts_ns:
         raise ValueError("replay delay must lie strictly inside one slot spacing")
-    shift = int(round(delay_ns / timeline.tp_ns))
-    copy_start = timeline.start_bin + shift
+    copy_start = timeline.start_bin + int(round(delay_ns / params.tp_ns))
     copy_bins = timeline.slot_bins(copy_start)
     if copy_bins[-1] >= len(timeline.amplitudes):
         raise ValueError("timeline too short to hold the delayed copy")
-    gain = 10.0 ** (gain_db / 20.0)
+    _, copy = superpose(timeline.link, timeline.code.slots, 0, gain_db)
     amps = timeline.amplitudes.copy()
-    amps[copy_bins] += timeline.auth_slot_amps * gain
+    amps[copy_bins] += copy
 
     peak_auth = np.abs(amps[timeline.slot_bins(timeline.start_bin)]).max()
     peak_copy = np.abs(amps[copy_bins]).max()

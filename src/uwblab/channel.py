@@ -100,9 +100,11 @@ def superpose(link: LinkModel, signs, phases, gain_db: float):
     """(received, replayed) slot amplitudes: the one superposition rule. Draws nothing.
 
     signs (authentic pulses) and phases (injections) hold -1, 0 or +1 per
-    slot, one frame per row. received = phases * sqrt(adversary power) +
-    signs * sqrt(worst-case power); replayed is the clean authentic frame
-    scaled by gain_db. Each output is one fresh array, added to in place.
+    slot, one frame per row; phases may be the scalar 0 for a frame nobody
+    injects into. received = phases * sqrt(adversary power) + signs *
+    sqrt(worst-case power); replayed is the clean authentic frame scaled by
+    gain_db, the copy replay_frame lays down. Each output is one fresh
+    array, added to in place.
     """
     clean = signs * math.sqrt(worst_case_rx_power(link))
     received = phases * math.sqrt(adversary_rx_power(link))
@@ -143,33 +145,31 @@ class FrameTimeline:
     """Dense received amplitude train at pulse-width resolution.
 
     One bin per tp_ns; slot i of a frame starting at bin s occupies bin
-    s + i*stride. start_bin marks the authentic frame, lock_bin the frame
-    start the receiver's acquisition locked onto (the strongest copy).
-    auth_slot_amps keeps the clean authentic per-slot amplitudes so that a
-    replay can be synthesized from what the adversary actually overheard.
+    s + i * code.params.stride. start_bin marks the authentic frame, lock_bin
+    the frame start the receiver's acquisition locked onto (the strongest
+    copy). A replay takes its copy from superpose() of the code and link the
+    frame was synthesized from, as the adversary overheard it.
     """
 
     amplitudes: np.ndarray
-    tp_ns: float
-    ts_ns: float
     start_bin: int
     lock_bin: int
-    auth_slot_amps: np.ndarray
+    code: VerificationCode
+    link: LinkModel
 
     def __post_init__(self):
-        for name in ("amplitudes", "auth_slot_amps"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @property
-    def stride(self) -> int:
-        return int(round(self.ts_ns / self.tp_ns))
+    def tp_ns(self) -> float:
+        return self.code.params.tp_ns
 
     def slot_bins(self, frame_start_bin) -> np.ndarray:
         """Bins of a frame's n slots; a (rows, 1) array of starts gives one row each."""
-        n = len(self.auth_slot_amps)
-        return frame_start_bin + np.arange(n) * self.stride
+        params = self.code.params
+        return frame_start_bin + np.arange(params.n) * params.stride
 
 
 def synthesize_timeline(
@@ -190,14 +190,13 @@ def synthesize_timeline(
     resolution is amplitudes[slot_bins(start_bin)].
     """
     params = code.params
-    tp, ts = params.tp_ns, params.ts_ns
-    stride = int(round(ts / tp))
+    tp, stride = params.tp_ns, params.stride
     start_bin = int(round(lead_ns / tp))
     nbins = start_bin + params.n * stride + int(round(tail_ns / tp))
-    phases = np.zeros(params.n, dtype=np.int8) if attack is None else attack.phases
-    if len(phases) != params.n:
+    phases = 0 if attack is None else attack.phases
+    if attack is not None and len(phases) != params.n:
         raise ValueError("attack plan length must equal the frame's n")
-    received, auth = superpose(link, code.slots, phases, 0.0)
+    received, _ = superpose(link, code.slots, phases, 0.0)
 
     if link.sigma_n2 > 0:
         rng = np.random.default_rng(noise_seed)
@@ -205,11 +204,5 @@ def synthesize_timeline(
     else:
         amps = np.zeros(nbins)
     amps[start_bin:start_bin + params.n * stride:stride] += received
-    return FrameTimeline(
-        amplitudes=amps,
-        tp_ns=tp,
-        ts_ns=ts,
-        start_bin=start_bin,
-        lock_bin=start_bin,
-        auth_slot_amps=auth,
-    )
+    return FrameTimeline(amplitudes=amps, start_bin=start_bin, lock_bin=start_bin,
+                         code=code, link=link)

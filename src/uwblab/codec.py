@@ -26,17 +26,49 @@ class CodeParams:
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("frame needs at least one slot")
-        if self.alpha < 0 or self.beta < 0 or self.alpha + self.beta != self.n:
-            raise ValueError("slot counts must satisfy n = alpha + beta with alpha, beta >= 0")
+        # an all-empty frame carries no code the receiver could vote on
+        if self.alpha < 1 or self.beta < 0 or self.alpha + self.beta != self.n:
+            raise ValueError("slot counts must satisfy n = alpha + beta with alpha >= 1, beta >= 0")
         # a chain that nan fails
         if not 0 < self.tp_ns < self.ts_ns < np.inf:
             raise ValueError("need 0 < tp_ns < ts_ns < inf (pulse width, slot spacing)")
-        if self.alpha == 0:
-            # degenerate all-empty frame, only meaningful for bin bookkeeping
-            if self.r != 0:
-                raise ValueError("an all-empty frame cannot be sampled, set r = 0")
-        elif not 1 <= self.r <= self.alpha:
+        if not 1 <= self.r <= self.alpha:
             raise ValueError("sample size r must satisfy 1 <= r <= alpha")
+
+    @property
+    def stride(self) -> int:
+        """Timeline bins (of width tp_ns) per slot spacing ts_ns."""
+        return int(round(self.ts_ns / self.tp_ns))
+
+
+def _unit_slots(values, name: str) -> np.ndarray:
+    """values as a read-only int8 vector of -1, 0, +1: the check of codes and plans.
+
+    The int8 cast must keep every value, so 255 and 0.5 are refused, not
+    wrapped to -1 or truncated to 0; the range test is not abs() <= 1, as
+    abs(-128) is -128 in int8. An int8 vector is taken without a copy.
+    """
+    given = np.asarray(values)
+    vec = given.astype(np.int8, copy=False)
+    if (given.ndim != 1 or vec.min(initial=0) < -1 or vec.max(initial=0) > 1
+            or (vec is not given and not np.array_equal(vec, given))):
+        raise ValueError(f"{name} must be one vector of -1, 0 or +1 per slot")
+    vec.setflags(write=False)
+    return vec
+
+
+def _draw_slots(n: int, count: int, seed: int) -> np.ndarray:
+    """int8 n-vector of count distinct uniform slots at independent uniform signs.
+
+    The one draw of codes and attack plans. Positions and signs come from
+    two independent child streams of the seed.
+    """
+    pos_ss, sign_ss = np.random.SeedSequence(seed).spawn(2)
+    at = np.random.default_rng(pos_ss).choice(n, size=count, replace=False)
+    slots = np.zeros(n, dtype=np.int8)
+    signs = np.random.default_rng(sign_ss).integers(0, 2, size=count).astype(np.int8)
+    slots[at] = 2 * signs - 1  # in int8: an int64 product cast on assignment is slower
+    return slots
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,34 +79,22 @@ class VerificationCode:
     slots: np.ndarray
 
     def __post_init__(self):
-        slots = np.asarray(self.slots, dtype=np.int8)
+        slots = np.asarray(self.slots)
         if slots.shape != (self.params.n,):
             raise ValueError("slot vector length must equal n")
-        # a range test, not abs(slots) <= 1: abs(-128) is -128 in int8
-        if slots.min() < -1 or slots.max() > 1:
-            raise ValueError("slot values must be -1, 0 or +1")
+        slots = _unit_slots(slots, "slot values")
         if int(np.count_nonzero(slots)) != self.params.alpha:
             raise ValueError("number of pulses must equal alpha")
-        slots.setflags(write=False)
         object.__setattr__(self, "slots", slots)
 
 
 def generate_code(params: CodeParams, seed: int) -> VerificationCode:
     """Draw a fresh code: uniform alpha-subset of slots, independent signs.
 
-    Positions and signs come from two independent child streams of the seed,
-    so tests can pin one while varying the other. The same (params, seed)
-    always reproduces the same code.
+    The same (params, seed) always reproduces the same code, and the same
+    slot vector as plan_attack(params, params.alpha, seed).phases.
     """
-    pos_ss, phase_ss = np.random.SeedSequence(seed).spawn(2)
-    slots = np.zeros(params.n, dtype=np.int8)
-    if params.alpha:
-        pulse_at = np.random.default_rng(pos_ss).choice(
-            params.n, size=params.alpha, replace=False
-        )
-        signs = np.random.default_rng(phase_ss).integers(0, 2, size=params.alpha)
-        slots[pulse_at] = 2 * signs.astype(np.int8) - 1
-    return VerificationCode(params=params, slots=slots)
+    return VerificationCode(params=params, slots=_draw_slots(params.n, params.alpha, seed))
 
 
 def bins(code: VerificationCode) -> tuple[np.ndarray, np.ndarray]:
@@ -89,23 +109,17 @@ def code_to_line(code: VerificationCode) -> str:
     return ",".join(str(int(v)) for v in code.slots)
 
 
-def code_from_line(
-    line: str,
-    r: int | None = None,
-) -> VerificationCode:
+def code_from_line(line: str) -> VerificationCode:
     """Parse the one-line text form back into a code.
 
-    alpha and beta are recovered from the content; r defaults to min(8, alpha)
-    since the text form does not carry the receiver's sample size. Slot
-    spacing and pulse width keep the CodeParams defaults.
+    alpha and beta are recovered from the content; r is min(8, alpha) since
+    the text form does not carry the receiver's sample size. Slot spacing
+    and pulse width keep the CodeParams defaults.
     """
     try:
         values = [int(tok) for tok in line.strip().split(",")]
     except ValueError as err:
         raise ValueError(f"unparseable code line: {err}") from None
-    slots = np.array(values, dtype=np.int8)
-    alpha = int(np.count_nonzero(slots))
-    if r is None:
-        r = min(8, alpha)
-    params = CodeParams(n=len(values), alpha=alpha, beta=len(values) - alpha, r=r)
-    return VerificationCode(params=params, slots=slots)
+    alpha = int(np.count_nonzero(values))
+    params = CodeParams(n=len(values), alpha=alpha, beta=len(values) - alpha, r=min(8, alpha))
+    return VerificationCode(params=params, slots=values)

@@ -105,11 +105,21 @@ def test_plan_csv_schema():
     assert len(lines) == 5
 
 
-@pytest.mark.parametrize("bad", [2, -2, -128])
+@pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int8(-128), np.int64(255), 0.5],
+                         ids=str)
 def test_plan_rejects_phase_outside_plus_minus_one(bad):
-    # 0 is legal (no injection); abs(-128) is -128 in int8
+    # 0 is legal (no injection); abs(-128) is -128 in int8, and the int8
+    # cast must neither wrap 255 to -1 nor truncate 0.5 to 0
     with pytest.raises(ValueError, match="phases"):
-        AttackPlan(phases=np.array([1, 0, 0, bad], dtype=np.int8))
+        AttackPlan(phases=np.array([1, 0, 0, bad], dtype=np.asarray(bad).dtype))
+
+
+def test_plan_is_the_code_draw():
+    # a plan of alpha injections is drawn exactly as the code with that seed
+    params = CodeParams(n=18, alpha=5, beta=13, r=5)
+    for seed in (0, 1, 7, 2**32 - 1, 2**40):
+        assert np.array_equal(plan_attack(params, params.alpha, seed).phases,
+                              generate_code(params, seed).slots)
 
 
 def test_plan_accepts_zero_and_one_injection():

@@ -100,7 +100,7 @@ def test_figure_received_row():
 def test_superposition_cases():
     # matched powers: annihilation to 0, amplification to (2A)^2 = 4A^2
     line = "1,0"
-    code = code_from_line(line, r=1)
+    code = code_from_line(line)
     link = unity_link()
     cancel = AttackPlan(phases=(-1, 0))
     double = AttackPlan(phases=(1, 0))
@@ -145,7 +145,7 @@ def test_noise_statistics():
 
 
 def test_signal_csv_schema():
-    code = code_from_line("1,0,-1", r=1)
+    code = code_from_line("1,0,-1")
     text = signal_to_csv(frame_amps(code, unity_link()))
     lines = text.strip().split("\n")
     assert lines[0] == "# schema=1"
@@ -158,7 +158,7 @@ def test_timeline_layout():
     code = generate_code(params, seed=3)
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
-    assert tl.stride == 50
+    assert params.stride == 50
     assert tl.start_bin == 20
     assert tl.lock_bin == tl.start_bin
     slot_bins = tl.slot_bins(tl.start_bin)

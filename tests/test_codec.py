@@ -13,8 +13,10 @@ def test_params_validation():
     CodeParams(n=18, alpha=5, beta=13, r=5)
     with pytest.raises(ValueError):
         CodeParams(n=10, alpha=4, beta=4)
-    with pytest.raises(ValueError):
-        CodeParams(n=10, alpha=0, beta=10, r=1)
+    # an all-empty frame carries no code, whatever r it is given
+    for r in (0, 1):
+        with pytest.raises(ValueError, match="alpha >= 1"):
+            CodeParams(n=10, alpha=0, beta=10, r=r)
     with pytest.raises(ValueError):
         CodeParams(n=10, alpha=4, beta=6, r=2, ts_ns=-1.0)
     # nan fails every comparison, so the range check must be one nan fails
@@ -85,7 +87,7 @@ def test_line_round_trip():
     params = CodeParams(n=24, alpha=6, beta=18, r=3)
     code = generate_code(params, seed=9)
     line = code_to_line(code)
-    back = code_from_line(line, r=3)
+    back = code_from_line(line)
     assert np.array_equal(back.slots, code.slots)
     assert back.params.alpha == 6 and back.params.beta == 18
 
@@ -99,13 +101,15 @@ def test_figure_row_parses():
     assert list(code.slots[occ]) == [-1, -1, 1, 1, -1]
 
 
-@pytest.mark.parametrize("bad", [2, -2, 127, -128])
+@pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int8(127), np.int8(-128),
+                                 np.int64(255), 0.5], ids=str)
 def test_code_rejects_slot_values_outside_unit_range(bad):
     # one bad value among alpha nonzero slots, so only the value check can fire;
-    # -128 guards against an abs() test, since abs(-128) is -128 in int8
+    # -128 guards against an abs() test, since abs(-128) is -128 in int8, and
+    # the int8 cast must neither wrap 255 to -1 nor truncate 0.5 to 0
     params = CodeParams(n=4, alpha=2, beta=2, r=1)
     with pytest.raises(ValueError, match="slot values"):
-        VerificationCode(params=params, slots=np.array([bad, 1, 0, 0], dtype=np.int8))
+        VerificationCode(params=params, slots=np.array([bad, 1, 0, 0], dtype=np.asarray(bad).dtype))
     VerificationCode(params=params, slots=np.array([-1, 1, 0, 0], dtype=np.int8))
 
 
@@ -122,3 +126,8 @@ def test_code_rejects_wrong_pulse_count_and_shape():
 def test_code_from_line_rejects_bad_slot_value():
     with pytest.raises(ValueError):
         code_from_line("0,2,1,0")
+    # 300 does not fit int8; it is refused, not wrapped or overflowed
+    with pytest.raises(ValueError, match="slot values"):
+        code_from_line("0,300,1")
+    with pytest.raises(ValueError, match="alpha >= 1"):
+        code_from_line("0,0,0")

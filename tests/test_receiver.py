@@ -68,7 +68,7 @@ def test_thresholds_ordering_enforced():
 
 def test_slot_energies_square_law():
     # the detector squares each slot amplitude: a -1 pulse weighs like a +1
-    code = code_from_line("1,0,-1", r=1)
+    code = code_from_line("1,0,-1")
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0)
     cfg = ReceiverConfig(r=1, upsilon=10, backtrack_window_ns=0.0)
@@ -108,7 +108,7 @@ def test_vote_worked_quarter():
     # two pulse slots, two empty slots, r=1: the adversary cancelled one
     # pulse and filled one empty slot, so exactly one draw pair in four
     # passes and ties lose the rest
-    code = code_from_line("1,0,-1,0", r=1)
+    code = code_from_line("1,0,-1,0")
     energies = np.array([0.0, 1.0, 1.0, 0.0])
     cfg = ReceiverConfig(r=1, upsilon=40000, rng_seed=3)
     ratio, is_code = robust_code_verification(energies, code, cfg)
@@ -117,7 +117,7 @@ def test_vote_worked_quarter():
 
 
 def test_vote_r_validation():
-    code = code_from_line("1,0,-1,0", r=1)
+    code = code_from_line("1,0,-1,0")
     with pytest.raises(ValueError):
         robust_code_verification(np.zeros(4), code, ReceiverConfig(r=3))
 
@@ -373,9 +373,8 @@ def test_backtrack_silence_finds_nothing():
     code = generate_code(params, seed=2)
     link = unity_link()
     bins = 40 + params.n * 50 + 30
-    tl = FrameTimeline(amplitudes=np.zeros(bins), tp_ns=2.0, ts_ns=100.0,
-                       start_bin=20, lock_bin=20,
-                       auth_slot_amps=np.zeros(params.n))
+    tl = FrameTimeline(amplitudes=np.zeros(bins), start_bin=20, lock_bin=20,
+                       code=code, link=link)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
     out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
     assert out.verdict == VERDICT_NO_CODE
@@ -390,9 +389,8 @@ def test_backtrack_lattice_steps_one_bin():
                                                     (0.0, 40.0, 41.0), (60, 3)):
         params = CodeParams(n=12, alpha=4, beta=8, ts_ns=100.0, tp_ns=tp_ns, r=2)
         code = generate_code(params, seed=2)
-        tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * 200), tp_ns=tp_ns,
-                           ts_ns=100.0, start_bin=lock, lock_bin=lock,
-                           auth_slot_amps=np.zeros(params.n))
+        tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * 200), start_bin=lock,
+                           lock_bin=lock, code=code, link=link)
         cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
         out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
         count = min(int(window_ns / tp_ns) + 1, lock + 1)
