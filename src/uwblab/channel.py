@@ -10,7 +10,7 @@ place where link powers become slot amplitudes.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,15 +121,8 @@ def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
     per-slot energies should read as small integers.
     """
     link = LinkModel(sigma_n2=sigma_n2, d2_m=d2_m)
-    return LinkModel(
-        d1_m=link.d1_m,
-        d2_m=link.d2_m,
-        d3_m=link.d3_m,
-        e_db=link.e_db,
-        p_sent=1.0 / power_ratio(link.d1_m, link.e_db),
-        p_adv_sent=1.0 / power_ratio(link.d3_m, link.e_db),
-        sigma_n2=sigma_n2,
-    )
+    return replace(link, p_sent=1.0 / power_ratio(link.d1_m, link.e_db),
+                   p_adv_sent=1.0 / power_ratio(link.d3_m, link.e_db))
 
 
 def signal_to_csv(amplitudes) -> str:

@@ -137,8 +137,6 @@ def _agreement_ok(rows) -> bool:
 
 def cmd_simulate(args) -> int:
     alpha, beta, r, metric = args.alpha, args.beta, args.r, args.metric
-    if r > alpha or r > beta:
-        raise ValueError("sample size r cannot exceed either bin")
     if args.validate and metric == "attack":
         raise ValueError("no closed form matches the attack metric; --validate needs --metric evade")
     cfg = TrialConfig(

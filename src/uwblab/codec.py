@@ -120,6 +120,8 @@ def code_from_line(line: str) -> VerificationCode:
         values = [int(tok) for tok in line.strip().split(",")]
     except ValueError as err:
         raise ValueError(f"unparseable code line: {err}") from None
+    if any(abs(v) > 1 for v in values):
+        raise ValueError("slot values must be -1, 0 or +1")
     alpha = int(np.count_nonzero(values))
     params = CodeParams(n=len(values), alpha=alpha, beta=len(values) - alpha, r=min(8, alpha))
     return VerificationCode(params=params, slots=values)

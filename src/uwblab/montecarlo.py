@@ -12,8 +12,8 @@ counts the runs where the receiver ends up accepting only the delayed copy.
 
 The attack game builds its frames with channel.superpose, as the session
 pipeline's timelines and replays do. The attack and noise games accept
-candidates by receiver.pass_ratios, as backtracking does; the evade game is
-one receiver.vote with the bins swapped.
+candidates by receiver.pass_ratios, as backtracking does; the evade game
+scores the receiver's Floyd picks directly.
 The simulated code occupies the first alpha slots. The code is uniform and
 independent of injections, signs and noise, so every slot is exchangeable
 and a fixed bin split has the same distribution as a secret one.
@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analytic
+from . import analytic, receiver
 from .channel import LinkModel, superpose
 from .codec import CodeParams
-from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios, vote
+from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios
 
 CHUNK = 4096
 
@@ -108,21 +108,27 @@ def _chunks(base_seed: int, k: int, trials: int):
 def _evade_successes(cfg: TrialConfig, k: int) -> int:
     """Single-comparison game at unit pulse power, noiseless.
 
-    The empty bin wins when its sample sum strictly exceeds the pulse
-    bin's, which is one vote with the bins swapped. Both bins' rows are
-    built from the injection count x, drawn as in _attack_successes, no mask.
+    The empty bin wins when its sample sum strictly exceeds the pulse bin's.
+    The game scores the receiver's Floyd picks, drawn as vote() draws them
+    with the bins swapped and upsilon 1, and x as in _attack_successes.
     """
     alpha, beta = cfg.params.alpha, cfg.params.beta
     r = cfg.receiver.r
+    step = max(1, receiver.VOTE_BLOCK // r)
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
         x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
-        # relative phase of a colliding injection: half double (energy 4),
-        # half cancel (0); the alpha - x pulse slots not hit keep energy 1
-        e_alpha = np.multiply(rng.random((m, alpha)) >= 0.5, 4.0)
-        np.copyto(e_alpha, 1.0, where=np.arange(alpha) >= x)
-        e_beta = (np.arange(beta) < k - x).astype(np.float64)
-        successes += int(vote(e_beta, e_alpha, r, 1, rng).sum())
+        # struck pulse picks (t < x) score 4 or 0, half each; others and empty t < k - x score 1
+        doubled = (rng.random((m, alpha)) >= 0.5).ravel()
+        for lo in range(0, m, step):
+            hit = x[lo:lo + step]
+            cells = (np.arange(lo, lo + len(hit)) * alpha)[:, None]
+            empty = sum(t < k - hit for t in receiver._floyd_picks(beta, r, len(hit), 1, rng))
+            struck = doubles = 0
+            for t in receiver._floyd_picks(alpha, r, len(hit), 1, rng):
+                struck += t < hit
+                doubles += (t < hit) & doubled[t + cells]
+            successes += int(np.count_nonzero(empty > r - struck + 4 * doubles))
     return successes
 
 
@@ -149,7 +155,7 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         # k distinct uniform slots per row. Only the count x landing in the
         # pulse bin matters: slots within a bin are exchangeable and the vote
         # and gate are permutation-invariant, so hit the first x pulse slots
-        # and the first k - x empty ones (_evade_successes builds rows from x)
+        # and the first k - x empty ones (_evade_successes scores picks by x)
         x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
         inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
         inj_phases[:, :alpha][np.arange(alpha) >= x] = 0.0

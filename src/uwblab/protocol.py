@@ -143,10 +143,11 @@ def run_session(
     d_committed = state.t_commit_tof_ns * SPEED_OF_LIGHT_M_PER_NS
 
     t_true = link.d1_m / SPEED_OF_LIGHT_M_PER_NS
-    code_ss, noise_ss, attack_ss = np.random.SeedSequence(seed).spawn(3)
+    code_ss, noise_ss, attack_ss, vote_ss = np.random.SeedSequence(seed).spawn(4)
     code_seeds = code_ss.generate_state(2)
     noise_seeds = noise_ss.generate_state(2)
     attack_seed = int(attack_ss.generate_state(1)[0])
+    vote_rng = np.random.default_rng(vote_ss)
 
     outcomes = []
     toa_offset_ns = float("nan")
@@ -161,7 +162,8 @@ def run_session(
         )
         if carries_attack:
             timeline = replay_frame(timeline, replay_delay_ns, replay_gain_db)
-        outcome = backtrack_detect(timeline, code, link, receiver, d_committed_m=d_committed)
+        outcome = backtrack_detect(timeline, code, link, receiver, d_committed_m=d_committed,
+                                   rng=vote_rng)
         state._log(f"frame {('challenge', 'response')[direction]}: {outcome.verdict}")
         outcomes.append(outcome)
         if direction == 1 and outcome.verdict == VERDICT_ACCEPTED:

@@ -8,7 +8,7 @@ should hold pulses actually outshine the slots that should be empty
 (repeated random-sample comparison)? And is there an earlier copy of the
 same code on the timeline that the acquisition lock skipped (backtracking)?
 pass_ratios() answers the first two for a batch of candidate frames, voting
-through vote(); backtracking and the Monte-Carlo estimators share both.
+through vote(); backtracking and the attack and noise games share both.
 
 An aggregate above the ceiling is treated as a hard alarm: no honest channel
 can add energy, so surplus energy is evidence of injected pulses regardless
@@ -156,18 +156,14 @@ def vote(e_alpha, e_beta, r: int, upsilon: int, rng) -> np.ndarray:
     e_alpha is (rows, alpha) pulse-bin energies, e_beta (rows, beta). Each
     vote draws a fresh uniform r-subset of each bin and passes when the
     first bin's sum is strictly larger; ties fail. This is the one vote
-    kernel of the package: the receiver and every Monte-Carlo estimator
-    call it. Rows are processed in blocks of at most VOTE_BLOCK sampled
-    slots, so memory stays bounded however many rows come in.
+    kernel of the package: the receiver and the attack and noise games call
+    it. Rows are processed in blocks of at most VOTE_BLOCK sampled slots, so
+    memory stays bounded; an empty batch makes one block, which checks r.
     """
-    e_alpha = np.asarray(e_alpha, dtype=np.float64)
-    e_beta = np.asarray(e_beta, dtype=np.float64)
-    if not 1 <= r <= min(e_alpha.shape[1], e_beta.shape[1]):
-        raise ValueError("sample size exceeds a bin")
-    rows = e_alpha.shape[0]
+    rows = len(e_alpha)
     passes = np.empty(rows, dtype=np.int64)
-    step = max(1, VOTE_BLOCK // (upsilon * r))
-    for lo in range(0, rows, step):
+    step = max(1, VOTE_BLOCK // max(1, upsilon * r))
+    for lo in range(0, max(rows, 1), step):
         hi = min(rows, lo + step)
         agg_a = _subset_sums(e_alpha[lo:hi], r, upsilon, rng)
         agg_b = _subset_sums(e_beta[lo:hi], r, upsilon, rng)
@@ -175,25 +171,16 @@ def vote(e_alpha, e_beta, r: int, upsilon: int, rng) -> np.ndarray:
     return passes
 
 
-def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
-    """(rows, upsilon) sums over fresh uniform r-subsets of each row's columns.
+def _floyd_picks(n: int, r: int, rows: int, upsilon: int, rng):
+    """Yield in draw order the r (rows, upsilon) picks of uniform r-subsets of 0..n-1.
 
     Floyd's algorithm (Bentley & Floyd, CACM 1987), vectorised over rows and
     votes: step i draws t uniform on 0..j with j = n - r + i and takes j
-    instead when t is already chosen. That is r integer draws per subset.
-    The duplicate test keeps the r index arrays of (rows, upsilon); each step
-    offsets its picks into one reused buffer and gathers into one of two (the
-    second only when r > 1), in draw order. The picks are in range, so the
-    gather takes mode="wrap": the default mode copies its out= buffer.
+    instead when t is already chosen. Callers must not write into the picks.
     """
-    e = np.ascontiguousarray(e)
-    rows, n = e.shape
-    flat = e.ravel()
-    base = (np.arange(rows) * n)[:, None]
+    if not 1 <= r <= n:
+        raise ValueError("sample size exceeds a bin")
     picks = []
-    idx = np.empty((rows, upsilon), dtype=np.int64)
-    sums = np.empty((rows, upsilon))
-    buf = np.empty_like(sums) if r > 1 else None
     for i in range(r):
         j = n - r + i
         t = rng.integers(0, j + 1, size=(rows, upsilon))
@@ -204,6 +191,23 @@ def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
             # t <= j, so the maximum takes j exactly where t is already chosen
             np.maximum(t, dup * j, out=t)
         picks.append(t)
+        yield t
+
+
+def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
+    """(rows, upsilon) sums over _floyd_picks' r-subsets of each row's columns.
+
+    The picks are in range, so the gather takes mode="wrap": the default
+    mode copies its out= buffer.
+    """
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    rows, n = e.shape
+    flat = e.ravel()
+    base = (np.arange(rows) * n)[:, None]
+    idx = np.empty((rows, upsilon), dtype=np.int64)
+    sums = np.empty((rows, upsilon))
+    buf = np.empty_like(sums) if r > 1 else None
+    for i, t in enumerate(_floyd_picks(n, r, rows, upsilon, rng)):
         np.add(t, base, out=idx)
         np.take(flat, idx, out=buf if i else sums, mode="wrap")
         if i:
@@ -220,9 +224,9 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
     since every strict vote on it ties; otherwise the row's vote() passes
     over upsilon, the voted rows going to vote() in row order. bin_alpha and
     bin_beta index the columns of each bin; aggregates, when given, are the
-    row sums. With rng None, default_rng(cfg.rng_seed) is built only when a
-    row is voted. A candidate is accepted when its ratio exceeds
-    cfg.p_noise_threshold, which nan never does.
+    row sums. With rng None, the vote draws from default_rng(cfg.rng_seed).
+    A candidate is accepted when its ratio exceeds cfg.p_noise_threshold,
+    which nan never does.
     """
     agg = energies.sum(axis=1) if aggregates is None else aggregates
     gated = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
@@ -230,8 +234,7 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
         gated &= live
     ratios = np.where(gated, 0.0, np.nan)
     voted = gated & (agg > 0.0)
-    if rng is None and voted.any():
-        rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     # one copy per bin; vote() checks r against the bins even with no row voted
     passes = vote(energies[:, bin_alpha][voted], energies[:, bin_beta][voted], cfg.r,
                   cfg.upsilon, rng)
@@ -245,6 +248,7 @@ def backtrack_detect(
     link: LinkModel,
     cfg: ReceiverConfig,
     d_committed_m: float | None = None,
+    rng=None,
 ) -> DetectionOutcome:
     """Scan earlier frame alignments for a hidden authentic copy.
 
@@ -254,7 +258,7 @@ def backtrack_detect(
     aggregate exceeds the ceiling aborts the scan as an attack; candidates
     below the noise floor are skipped; the rest take the code vote. Among
     accepted candidates the earliest time of arrival wins, since a replayed
-    copy can only ever trail the authentic one.
+    copy can only ever trail the authentic one. rng is pass_ratios'.
     """
     params = code.params
     if d_committed_m is None:
@@ -273,7 +277,7 @@ def backtrack_detect(
     # the scan aborts at the first over-ceiling candidate, in scan order
     hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
     scanned = int(hot[0]) + 1 if len(hot) else len(starts)
-    ratios = pass_ratios(energies[:scanned], *bins(code), thresholds, cfg,
+    ratios = pass_ratios(energies[:scanned], *bins(code), thresholds, cfg, rng,
                          aggregates=aggregates[:scanned])
 
     diag = dict(

@@ -129,5 +129,8 @@ def test_code_from_line_rejects_bad_slot_value():
     # 300 does not fit int8; it is refused, not wrapped or overflowed
     with pytest.raises(ValueError, match="slot values"):
         code_from_line("0,300,1")
+    # past int64 the count of pulses would overflow before the value check
+    with pytest.raises(ValueError, match="slot values"):
+        code_from_line("0,99999999999999999999,1")
     with pytest.raises(ValueError, match="alpha >= 1"):
         code_from_line("0,0,0")

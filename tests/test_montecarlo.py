@@ -2,9 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from uwblab import montecarlo, receiver
 from uwblab.analytic import prob_evade_rcv
@@ -83,7 +86,6 @@ def test_attack_casts_no_vote_on_decided_trials(monkeypatch):
         return vote(e_alpha, *args)
 
     monkeypatch.setattr(receiver, "vote", counting_vote)
-    monkeypatch.setattr(montecarlo, "vote", counting_vote)
     link = LinkModel(d1_m=10.0, d2_m=5.0, sigma_n2=1e-7)
     cfg = TrialConfig(params=CodeParams(n=150, alpha=50, beta=100, r=8), link=link,
                       k_grid=(100,), trials=1024, metric="attack", receiver=ReceiverConfig(r=8))
@@ -103,6 +105,79 @@ def test_evade_matches_analytic_within_4se():
         se = math.sqrt(p * (1 - p) / row.trials)
         assert abs(row.p_hat - p) < 4 * se + 1e-12
         assert row.ci_low <= row.p_hat <= row.ci_high
+
+
+def reference_evade_successes(cfg, k):
+    """The energy-row game: both bins' rows built, then one vote with the bins swapped."""
+    alpha, beta = cfg.params.alpha, cfg.params.beta
+    successes = 0
+    for rng, m in montecarlo._chunks(cfg.base_seed, k, cfg.trials):
+        x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
+        e_alpha = np.multiply(rng.random((m, alpha)) >= 0.5, 4.0)
+        np.copyto(e_alpha, 1.0, where=np.arange(alpha) >= x)
+        e_beta = (np.arange(beta) < k - x).astype(np.float64)
+        successes += int(vote(e_beta, e_alpha, cfg.receiver.r, 1, rng).sum())
+    return successes
+
+
+@st.composite
+def evade_cases(draw):
+    alpha, beta = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(alpha, beta)))
+    return alpha, beta, r, draw(st.integers(1, 300)), draw(st.integers(0, 2**32))
+
+
+def _evade_config(alpha, beta, r, trials, seed):
+    n = alpha + beta
+    return TrialConfig(params=CodeParams(n=n, alpha=alpha, beta=beta, r=r),
+                       k_grid=tuple(range(n + 1)), trials=trials, base_seed=seed,
+                       receiver=ReceiverConfig(r=r))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(evade_cases())
+@example((12, 12, 3, CHUNK + 5, 1))  # a second, partial chunk
+def test_evade_matches_energy_row_reference(case):
+    # the picks are scored instead of gathered from built rows, on the same
+    # draws: every count must come out the same, at every k
+    cfg = _evade_config(*case)
+    for k in cfg.k_grid:
+        assert montecarlo._evade_successes(cfg, k) == reference_evade_successes(cfg, k)
+
+
+@pytest.mark.parametrize("block", [1, 40])
+def test_evade_keeps_vote_row_blocks(monkeypatch, block):
+    # vote() draws block by block (at r > 64 for a full chunk); the game's
+    # picks must follow the same blocks
+    monkeypatch.setattr(receiver, "VOTE_BLOCK", block)
+    cfg = _evade_config(7, 9, 4, 150, 3)
+    for k in (0, 5, 11, 16):
+        assert montecarlo._evade_successes(cfg, k) == reference_evade_successes(cfg, k)
+
+
+@pytest.mark.parametrize("alpha, beta", [(10, 5), (5, 10)])
+def test_evade_rejects_sample_larger_than_a_bin(alpha, beta):
+    cfg = TrialConfig(params=CodeParams(n=alpha + beta, alpha=alpha, beta=beta, r=1),
+                      k_grid=(3,), trials=100, receiver=ReceiverConfig(r=min(alpha, beta) + 1))
+    with pytest.raises(ValueError, match="exceeds a bin"):
+        run_grid(cfg)
+
+
+def test_evade_memory_flat_in_beta():
+    # one chunk's peak must not grow with the empty bin: at beta 550 the
+    # energy rows of the whole chunk took 18 MB
+    def peak(beta, k):
+        cfg = TrialConfig(params=CodeParams(n=50 + beta, alpha=50, beta=beta, r=8),
+                          k_grid=(k,), trials=CHUNK, receiver=ReceiverConfig(r=8))
+        tracemalloc.start()
+        try:
+            run_grid(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(50, 50)  # the first call's one-off allocations
+    assert peak(550, 300) <= 1.25 * peak(50, 50)
 
 
 def test_false_positive_silent_noise_never_passes_gate():

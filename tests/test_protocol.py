@@ -151,25 +151,25 @@ PIN_RESPONSE_CSV = {
 998,6.86081767404e-10,nan
 996,6.35837756582e-10,nan
 994,6.73853184797e-10,nan
-992,1.12088361737e-09,0.6
-990,1.13195291137e-09,0.52
-988,1.09982011352e-09,0.44
+992,1.12088361737e-09,0.72
+990,1.13195291137e-09,0.48
+988,1.09982011352e-09,0.76
 986,6.93914481313e-10,nan
-984,9.86285287463e-10,0.48
+984,9.86285287463e-10,0.36
 982,7.18231716661e-10,nan
-980,1.12741055575e-09,0.64
+980,1.12741055575e-09,0.52
 978,4.50034460475e-10,nan
-976,1.20522073552e-09,0.88
+976,1.20522073552e-09,0.8
 974,7.84913291218e-10,nan
 972,6.88779886649e-10,nan
-970,1.11593255336e-09,0.2
+970,1.11593255336e-09,0.28
 968,4.30891954096e-10,nan
-966,1.38235471656e-09,0.28
+966,1.38235471656e-09,0.44
 964,7.36357870649e-10,nan
 962,5.9134577892e-10,nan
 960,7.98116979193e-10,nan
 958,6.60394089928e-10,nan
-956,1.18978933444e-09,0.56
+956,1.18978933444e-09,0.8
 954,5.95189031463e-10,nan
 952,6.77146385821e-10,nan
 950,5.43019717685e-10,nan
@@ -177,23 +177,23 @@ PIN_RESPONSE_CSV = {
 946,5.66515075738e-10,nan
 944,5.25432865293e-10,nan
 942,7.03338192292e-10,nan
-940,1.3296920191e-09,0.52
-938,1.37176615077e-09,0.4
+940,1.3296920191e-09,0.48
+938,1.37176615077e-09,0.36
 936,8.04331398675e-10,nan
 934,8.33251492568e-10,nan
 932,1.56425327936e-09,0.84
 930,7.60947454747e-10,nan
 928,6.29341453047e-10,nan
-926,1.1093239908e-09,0.44
-924,9.46575643389e-10,0.08
-922,1.5955383599e-09,0.6
+926,1.1093239908e-09,0.6
+924,9.46575643389e-10,0.16
+922,1.5955383599e-09,0.56
 920,5.23286546164e-10,nan
 918,6.70506384834e-10,nan
-916,1.07348479934e-09,0.6
+916,1.07348479934e-09,0.32
 914,8.63541903389e-10,nan
 912,6.97960204814e-10,nan
-910,1.93057655074e-09,0.6
-908,9.27629270075e-10,0.88
+910,1.93057655074e-09,0.68
+908,9.27629270075e-10,0.76
 906,8.63221116214e-10,nan
 904,3.52058374135e-10,nan
 902,7.54826448623e-10,nan
@@ -202,62 +202,62 @@ PIN_RESPONSE_CSV = {
 896,8.68014038034e-10,nan
 894,4.42806434421e-10,nan
 892,5.02769943849e-10,nan
-890,1.18936470366e-09,0.76
+890,1.18936470366e-09,0.68
 888,8.31890586064e-10,nan
-886,9.68732758137e-10,0.48
+886,9.68732758137e-10,0.56
 884,7.10146529313e-10,nan
-882,9.15468221513e-10,0.24
+882,9.15468221513e-10,0.16
 880,4.59979902251e-10,nan
 878,7.04052445516e-10,nan
-876,1.29013823896e-09,0.68
+876,1.29013823896e-09,0.72
 874,7.42776646405e-10,nan
-872,9.45821334276e-10,0.36
-870,1.06752514796e-09,0.2
-868,1.11473986824e-09,0.64
+872,9.45821334276e-10,0.16
+870,1.06752514796e-09,0.12
+868,1.11473986824e-09,0.52
 866,4.61929677795e-10,nan
 864,5.01361811729e-10,nan
 862,6.01386972606e-10,nan
 860,3.68554501098e-10,nan
-858,9.63067167184e-10,0.24
+858,9.63067167184e-10,0.32
 856,7.29193714558e-10,nan
 854,8.87645763385e-10,nan
-852,1.42493190409e-09,0.6
-850,1.2715757712e-09,0.04
-848,1.15265886331e-09,0.44
+852,1.42493190409e-09,0.64
+850,1.2715757712e-09,0.16
+848,1.15265886331e-09,0.48
 846,6.27993059885e-10,nan
-844,1.09396026745e-09,0.64
-842,9.88930938277e-10,0.52
-840,9.19976938983e-10,0.44
-838,1.15275887979e-09,0.48
-836,1.11602737267e-09,0.24
-834,1.05723258701e-09,0.28
-832,1.45226178954e-09,0.16
+844,1.09396026745e-09,0.72
+842,9.88930938277e-10,0.64
+840,9.19976938983e-10,0.36
+838,1.15275887979e-09,0.68
+836,1.11602737267e-09,0.4
+834,1.05723258701e-09,0.24
+832,1.45226178954e-09,0.08
 830,5.8913386021e-10,nan
 828,7.58732746137e-10,nan
 826,9.00289953901e-10,nan
 824,4.39671576996e-10,nan
-822,9.68769900826e-10,0.56
-820,1.83255859214e-09,0.24
+822,9.68769900826e-10,0.28
+820,1.83255859214e-09,0.28
 818,8.59744985184e-10,nan
-816,9.9650732979e-10,0.12
+816,9.9650732979e-10,0.2
 814,5.95523273792e-10,nan
 812,6.19927326454e-10,nan
-810,1.12490264569e-09,0.24
-808,1.35683451198e-09,0.96
+810,1.12490264569e-09,0.2
+808,1.35683451198e-09,0.76
 806,7.6118215352e-10,nan
 804,6.95068492421e-10,nan
-802,1.10379893304e-09,0.44
+802,1.10379893304e-09,0.36
 800,2.11006046544e-08,1
 798,9.08731855111e-10,nan
 796,8.48014147297e-10,nan
 794,8.13260846099e-10,nan
 792,3.16817128788e-10,nan
 790,9.05969027214e-10,nan
-788,1.09770223365e-09,0.44
+788,1.09770223365e-09,0.32
 786,8.92615545941e-10,nan
 784,8.83763372961e-10,nan
 782,6.35759438762e-10,nan
-780,9.70470859178e-10,0.36
+780,9.70470859178e-10,0.56
 """,
     "replay_k3": CSV_HEAD + "800,3.12377129554e-06,nan\n",
 }
@@ -265,8 +265,8 @@ PIN_RESPONSE_CSV = {
 # over both frames of every session
 PIN_COUNTS = {
     "honest": ({(PHASE_VERIFIED, None): 100}, 5000),
-    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127819),
-    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 63864),
+    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127614),
+    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 63510),
 }
 
 
