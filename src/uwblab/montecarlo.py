@@ -12,9 +12,10 @@ counts the runs where the receiver ends up accepting only the delayed copy.
 
 The attack game builds its frames with channel.superpose, as the session
 pipeline's timelines and replays do. The attack and noise games accept
-candidates by receiver.pass_ratios, as backtracking does; the evade game
-scores the receiver's Floyd picks directly.
-The simulated code occupies the first alpha slots. The code is uniform and
+candidates by receiver.pass_ratios, as backtracking does; the noise game
+draws each frame's aggregate first and its slot split only inside the
+energy window, and the evade game scores the receiver's Floyd picks.
+The simulated code occupies the first alpha slots. It is uniform and
 independent of injections, signs and noise, so every slot is exchangeable
 and a fixed bin split has the same distribution as a secret one.
 
@@ -196,25 +197,29 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     """Rate at which pure noise survives the whole acceptance path.
 
     Each trial is one backtracking candidate: a frame-length window of
-    noise-only energies, gated by the thresholds and then put to the full
-    repeated-sample vote. Noise energies are exchangeable across slots, so
-    a fixed bin split is statistically identical to a secret one. The gate
-    and the vote are receiver.pass_ratios, as in backtracking.
+    noise-only energies, gated and then voted by receiver.pass_ratios, as in
+    backtracking. The game is factorised: for i.i.d. sigma^2 chi^2_1 slot
+    energies the sum is independent of the proportions (Lukacs, Ann. Math.
+    Stat. 1955); the gate reads only the sum, and the strict vote only the
+    proportions. So each chunk draws its m aggregates sigma^2 chi^2_n, then
+    the split of the frames inside the window (squared standard normals
+    rescaled to their aggregate), then their votes.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha = params.n, params.alpha
-    sigma = math.sqrt(link.sigma_n2)
     if thresholds is None:
         thresholds = compute_thresholds(link, params, link.d1_m + link.d2_m)
     accepted = 0
-    # every chunk draws into one buffer, so no chunk's noise lands on fresh
-    # pages; standard_normal scaled by sigma gives the values normal(0, sigma) gives
+    # every chunk draws into one buffer, so no chunk's noise lands on fresh pages
     buf = np.empty((min(CHUNK, cfg.trials), n))
     for rng, m in _chunks(cfg.base_seed, 0, cfg.trials):
-        energies = rng.standard_normal(out=buf[:m])
-        energies *= sigma
+        agg = link.sigma_n2 * rng.chisquare(n, size=m)
+        agg = agg[receiver._in_window(agg, thresholds)]
+        energies = rng.standard_normal(out=buf[:len(agg)])
         np.square(energies, out=energies)
-        ratios = pass_ratios(energies, slice(alpha), slice(alpha, None), thresholds, rcfg, rng)
+        energies *= (agg / energies.sum(axis=1))[:, None]
+        ratios = pass_ratios(energies, slice(alpha), slice(alpha, None), thresholds, rcfg, rng,
+                             aggregates=agg)
         accepted += int((ratios > rcfg.p_noise_threshold).sum())
     return _estimate_row(0, cfg.trials, accepted)
 

@@ -215,6 +215,11 @@ def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
     return sums
 
 
+def _in_window(agg, thresholds: Thresholds) -> np.ndarray:
+    """True where an aggregate lies inside [gamma_lower, gamma_upper]: the energy gate."""
+    return (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
+
+
 def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: ReceiverConfig,
                 rng=None, live=None, aggregates=None) -> np.ndarray:
     """Vote ratio of each candidate frame (a row of energies): the one acceptance rule.
@@ -229,7 +234,7 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
     which nan never does.
     """
     agg = energies.sum(axis=1) if aggregates is None else aggregates
-    gated = (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
+    gated = _in_window(agg, thresholds)
     if live is not None:
         gated &= live
     ratios = np.where(gated, 0.0, np.nan)
