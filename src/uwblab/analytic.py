@@ -108,31 +108,7 @@ def _check_game(alpha: int, beta: int, r: int, k: int) -> None:
     if not 1 <= r <= alpha or r > beta:
         raise ValueError("sample size r must satisfy 1 <= r <= min(alpha, beta)")
     if not 0 <= k <= alpha + beta:
-        raise ValueError("injection count k must lie in [0, alpha + beta]")
-
-
-def p_inner(alpha: int, beta: int, r: int, k: int, x: int, g: int, exact: bool = False):
-    """P(empty-bin aggregate beats pulse-bin aggregate | x landed, g annihilated).
-
-    Conditions on the attacker having placed x of its k injections in the
-    pulse bin with exactly g sign-matches cancelled; the remaining k - x sit
-    in the empty bin. The receiver then draws r slots per bin.
-    """
-    _check_game(alpha, beta, r, k)
-    if not 0 <= g <= x <= min(k, alpha) or k - x > beta:
-        raise ValueError("need 0 <= g <= x <= min(k, alpha) and k - x <= beta")
-    # beta_tail[m] = P(the empty-bin draw holds >= m injections), m in 0..r
-    beta_tail = list(accumulate(reversed(_draw_pmf(k - x, beta - (k - x), r, exact))))[::-1]
-    # sum over the composition of the pulse-bin draw: y1 annihilated, y2
-    # doubled, r - y1 - y2 untouched (at r = alpha one term of weight 1)
-    terms = []
-    for y1 in range(0, min(r, g) + 1):
-        for y2 in range(max(0, r - y1 - (alpha - x)), min(r - y1, x - g) + 1):
-            m = r - y1 + 3 * y2 + 1
-            if m <= r and beta_tail[m] != 0:
-                w = _weight(exact, ((g, y1), (x - g, y2), (alpha - x, r - y1 - y2)), ((alpha, r),))
-                terms.append(w * beta_tail[m])
-    return _total(terms, exact)
+        raise ValueError("injection or high-slot count must lie in [0, alpha + beta]")
 
 
 def prob_evade_rcv(alpha: int, beta: int, r: int, k: int, exact: bool = False):
@@ -198,12 +174,7 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
     per-comparison pass probability: 0.5377 against 0.4623 at
     (alpha, beta, r, kappa) = (80, 100, 80, 40).
     """
-    if alpha < 1 or beta < 1:
-        raise ValueError("need at least one slot per bin")
-    if not 1 <= r <= min(alpha, beta):
-        raise ValueError("sample size r must satisfy 1 <= r <= min(alpha, beta)")
-    if not 0 <= kappa <= alpha + beta:
-        raise ValueError("high-energy slot count kappa must lie in [0, alpha + beta]")
+    _check_game(alpha, beta, r, kappa)
     terms = []
     for x in range(max(0, kappa - beta), min(kappa, alpha) + 1):
         w = hypergeom(alpha, beta, x, kappa - x, exact)

@@ -54,7 +54,6 @@ class ReceiverConfig:
     upsilon: int = 100
     p_noise_threshold: float = 0.8
     backtrack_window_ns: float = 660.0
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.upsilon < 1:
@@ -134,7 +133,7 @@ def robust_code_verification(
     energies,
     code: VerificationCode,
     cfg: ReceiverConfig,
-    rng=None,
+    rng,
 ) -> tuple[float, bool]:
     """Vote on whether the secret code's energy pattern is present.
 
@@ -144,6 +143,7 @@ def robust_code_verification(
     energy anywhere scores 0.0, not 1.0, so noiseless backtracking never
     mistakes silence for the code. The code is declared present when the
     pass ratio beats the noise baseline; it is pass_ratios on one row, ungated.
+    The votes draw from rng, the caller's generator.
     """
     energies = np.asarray(energies, dtype=np.float64)[None]
     ratio = float(pass_ratios(energies, *bins(code), Thresholds(0.0, math.inf), cfg, rng)[0])
@@ -221,7 +221,7 @@ def _in_window(agg, thresholds: Thresholds) -> np.ndarray:
 
 
 def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: ReceiverConfig,
-                rng=None, live=None, aggregates=None) -> np.ndarray:
+                rng, live=None, aggregates=None) -> np.ndarray:
     """Vote ratio of each candidate frame (a row of energies): the one acceptance rule.
 
     nan where the row's aggregate lies outside [gamma_lower, gamma_upper]
@@ -229,7 +229,7 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
     since every strict vote on it ties; otherwise the row's vote() passes
     over upsilon, the voted rows going to vote() in row order. bin_alpha and
     bin_beta index the columns of each bin; aggregates, when given, are the
-    row sums. With rng None, the vote draws from default_rng(cfg.rng_seed).
+    row sums. The vote draws from rng, the caller's generator.
     A candidate is accepted when its ratio exceeds cfg.p_noise_threshold,
     which nan never does.
     """
@@ -239,7 +239,6 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
         gated &= live
     ratios = np.where(gated, 0.0, np.nan)
     voted = gated & (agg > 0.0)
-    rng = np.random.default_rng(cfg.rng_seed) if rng is None else rng
     # one copy per bin; vote() checks r against the bins even with no row voted
     passes = vote(energies[:, bin_alpha][voted], energies[:, bin_beta][voted], cfg.r,
                   cfg.upsilon, rng)
@@ -253,7 +252,8 @@ def backtrack_detect(
     link: LinkModel,
     cfg: ReceiverConfig,
     d_committed_m: float | None = None,
-    rng=None,
+    *,
+    rng,
 ) -> DetectionOutcome:
     """Scan earlier frame alignments for a hidden authentic copy.
 
@@ -263,7 +263,7 @@ def backtrack_detect(
     aggregate exceeds the ceiling aborts the scan as an attack; candidates
     below the noise floor are skipped; the rest take the code vote. Among
     accepted candidates the earliest time of arrival wins, since a replayed
-    copy can only ever trail the authentic one. rng is pass_ratios'.
+    copy can only ever trail the authentic one. rng is pass_ratios' generator.
     """
     params = code.params
     if d_committed_m is None:

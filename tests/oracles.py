@@ -2,9 +2,11 @@
 
 Everything here runs on Fractions so the numbers are exact. The closed-form
 library must agree with these to within float round-off; any disagreement is
-a bug on one side or the other. The literal_* variants grind over every raw
-outcome with itertools and exist to validate the class-counting versions on
-tiny instances.
+a bug on one side or the other. p_inner, the evade game given where the
+injections landed, has no counterpart in the library: mixed over placements
+and signs it must equal prob_evade_rcv, and success_probability is that
+mixture. The literal_* variants grind over every raw outcome with itertools
+and exist to validate the class-counting versions on tiny instances.
 """
 
 import itertools
@@ -40,29 +42,35 @@ def success_probability(alpha: int, beta: int, r: int, zeta: float, k: int) -> F
         w_x = _hyper(alpha, beta, x, k)
         if w_x == 0:
             continue
-        ones_b = k - x
         for c in range(x + 1):
             if zeta != float("inf") and k + 2 * x - 4 * c > alpha * (Fraction(zeta) - 1):
                 continue
-            w_c = Fraction(comb(x, c), 2**x)
-            # pulse bin now holds c zeros, x - c fours, alpha - x ones
-            win = Fraction(0)
-            for i in range(min(r, c) + 1):
-                for j in range(min(r - i, x - c) + 1):
-                    l = r - i - j
-                    if l > alpha - x:
-                        continue
-                    w_draw = Fraction(
-                        comb(c, i) * comb(x - c, j) * comb(alpha - x, l),
-                        comb(alpha, r))
-                    if w_draw == 0:
-                        continue
-                    a_sum = 4 * j + l
-                    # empty-bin draw of h ones must strictly exceed a_sum
-                    for h in range(a_sum + 1, min(r, ones_b) + 1):
-                        win += w_draw * _hyper(ones_b, beta - ones_b, h, r)
-            total += w_x * w_c * win
+            total += w_x * Fraction(comb(x, c), 2**x) * p_inner(alpha, beta, r, k, x, c)
     return total
+
+
+def p_inner(alpha: int, beta: int, r: int, k: int, x: int, g: int) -> Fraction:
+    """Conditional evade probability: the empty-bin draw strictly beats the
+    pulse-bin draw, given x of the k injections in the pulse bin, g of them
+    cancelling.
+
+    The pulse bin then holds g zeros, x - g fours and alpha - x ones; the
+    empty bin holds k - x ones among beta slots. Mixed over x ~
+    hypergeometric and g ~ Binomial(x, 1/2), it is evade_probability.
+    """
+    ones_b = k - x
+    win = Fraction(0)
+    # the pulse draw takes i zeros, j fours and l ones
+    for i in range(min(r, g) + 1):
+        for j in range(min(r - i, x - g) + 1):
+            l = r - i - j
+            if l > alpha - x:
+                continue
+            w_draw = Fraction(comb(g, i) * comb(x - g, j) * comb(alpha - x, l), comb(alpha, r))
+            # empty-bin draw of h ones must strictly exceed the pulse draw's 4j + l
+            for h in range(4 * j + l + 1, min(r, ones_b) + 1):
+                win += w_draw * _hyper(ones_b, beta - ones_b, h, r)
+    return win
 
 
 def noise_pass_probability(alpha: int, beta: int, r: int, kappa: int) -> Fraction:

@@ -46,14 +46,38 @@ def test_config_validation():
         TrialConfig(params=params, k_grid=(11,))
 
 
-def test_run_grid_reproducible_and_chunk_agnostic():
+def test_run_grid_reproducible_and_chunk_agnostic(monkeypatch):
     params = CodeParams(n=30, alpha=10, beta=20, r=2)
-    cfg = TrialConfig(params=params, k_grid=(4, 9), trials=5000, base_seed=7,
+    cfg = TrialConfig(params=params, k_grid=(4, 9), trials=2 * CHUNK + 500, base_seed=7,
                       receiver=ReceiverConfig(r=2))
     first = run_grid(cfg)
     second = run_grid(cfg)
     assert [r.successes for r in first] == [r.successes for r in second]
     assert first[0].k == 4 and first[1].k == 9
+    # a run split at chunk boundaries and summed reproduces the sequential counts
+    attack = dataclasses.replace(cfg, metric="attack",
+                                 link=LinkModel(d1_m=10.0, d2_m=5.0, sigma_n2=1e-7),
+                                 receiver=ReceiverConfig(r=2, upsilon=20))
+    noise = dataclasses.replace(cfg, link=LinkModel(sigma_n2=1.0),
+                                receiver=ReceiverConfig(r=1, upsilon=20, p_noise_threshold=0.6))
+    thresholds = Thresholds(gamma_lower=20.0, gamma_upper=40.0)
+
+    def counts():
+        return ([row.successes for row in run_grid(cfg)],
+                [row.successes for row in run_grid(attack)],
+                false_positive_rate(noise, thresholds).successes)
+
+    sequential = counts()
+    chunks = montecarlo._chunks
+    parts = []
+    for keep in ({0}, {1, 2}):
+        monkeypatch.setattr(montecarlo, "_chunks", lambda *args, keep=keep: (
+            chunk for idx, chunk in enumerate(chunks(*args)) if idx in keep))
+        parts.append(counts())
+    (evade_a, attack_a, noise_a), (evade_b, attack_b, noise_b) = parts
+    assert [a + b for a, b in zip(evade_a, evade_b)] == sequential[0]
+    assert [a + b for a, b in zip(attack_a, attack_b)] == sequential[1]
+    assert noise_a + noise_b == sequential[2]
 
 
 def test_evade_no_injection_never_wins():

@@ -72,7 +72,7 @@ def test_slot_energies_square_law():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0)
     cfg = ReceiverConfig(r=1, upsilon=10, backtrack_window_ns=0.0)
-    out = backtrack_detect(tl, code, link, cfg)
+    out = backtrack_detect(tl, code, link, cfg, rng=np.random.default_rng(0))
     assert out.aggregates == pytest.approx((2.0,))
 
 
@@ -91,7 +91,7 @@ def test_vote_clean_code_is_certain():
     tl = synthesize_timeline(code, unity_link(), noise_seed=0)
     energies = tl.amplitudes[tl.slot_bins(tl.start_bin)] ** 2
     cfg = ReceiverConfig(r=2, upsilon=200)
-    ratio, is_code = robust_code_verification(energies, code, cfg)
+    ratio, is_code = robust_code_verification(energies, code, cfg, np.random.default_rng(0))
     assert ratio == 1.0 and is_code
 
 
@@ -100,7 +100,8 @@ def test_vote_silence_scores_zero():
     params = small_params()
     code = generate_code(params, seed=1)
     cfg = ReceiverConfig(r=2, upsilon=200)
-    ratio, is_code = robust_code_verification(np.zeros(12), code, cfg)
+    ratio, is_code = robust_code_verification(np.zeros(12), code, cfg,
+                                              np.random.default_rng(0))
     assert ratio == 0.0 and not is_code
 
 
@@ -110,8 +111,8 @@ def test_vote_worked_quarter():
     # passes and ties lose the rest
     code = code_from_line("1,0,-1,0")
     energies = np.array([0.0, 1.0, 1.0, 0.0])
-    cfg = ReceiverConfig(r=1, upsilon=40000, rng_seed=3)
-    ratio, is_code = robust_code_verification(energies, code, cfg)
+    cfg = ReceiverConfig(r=1, upsilon=40000)
+    ratio, is_code = robust_code_verification(energies, code, cfg, np.random.default_rng(3))
     assert ratio == pytest.approx(0.25, abs=0.01)
     assert not is_code
 
@@ -119,7 +120,24 @@ def test_vote_worked_quarter():
 def test_vote_r_validation():
     code = code_from_line("1,0,-1,0")
     with pytest.raises(ValueError):
-        robust_code_verification(np.zeros(4), code, ReceiverConfig(r=3))
+        robust_code_verification(np.zeros(4), code, ReceiverConfig(r=3),
+                                 np.random.default_rng(0))
+
+
+def test_votes_need_the_callers_generator():
+    # there is no default vote stream: every vote needs the caller's generator
+    code = code_from_line("1,0,-1,0")
+    link = unity_link()
+    tl = synthesize_timeline(code, link, noise_seed=0)
+    cfg = ReceiverConfig(r=1)
+    with pytest.raises(TypeError):
+        robust_code_verification(np.ones(4), code, cfg)
+    with pytest.raises(TypeError):
+        receiver.pass_ratios(np.ones((1, 4)), [0, 2], [1, 3], Thresholds(0.0, 9.0), cfg)
+    with pytest.raises(TypeError):
+        backtrack_detect(tl, code, link, cfg)
+    with pytest.raises(TypeError):
+        ReceiverConfig(rng_seed=0)
 
 
 # integer energies keep every subset sum exact, so ties are real ties
@@ -226,16 +244,18 @@ def candidate_cases(draw):
     lower = draw(st.just(0) | st.integers(1, 2 * n))
     thr = Thresholds(float(lower), float(lower + draw(st.integers(1, 3 * n))))
     perm = np.array(draw(st.permutations(range(n))))
-    cfg = ReceiverConfig(r=draw(st.integers(1, min(alpha, beta))), upsilon=draw(st.integers(1, 30)),
-                         rng_seed=draw(st.integers(0, 2**32)))
-    return e, np.sort(perm[:alpha]), np.sort(perm[alpha:]), thr, cfg, draw(st.none() | flags)
+    cfg = ReceiverConfig(r=draw(st.integers(1, min(alpha, beta))), upsilon=draw(st.integers(1, 30)))
+    seed = draw(st.integers(0, 2**32))
+    return (e, np.sort(perm[:alpha]), np.sort(perm[alpha:]), thr, cfg, seed,
+            draw(st.none() | flags))
 
 
 @VOTE_PROPERTY
 @given(candidate_cases())
 def test_pass_ratios_gate_zero_rule_and_vote(case):
-    e, bin_alpha, bin_beta, thr, cfg, live = case
-    ratios = receiver.pass_ratios(e, bin_alpha, bin_beta, thr, cfg, live=live)
+    e, bin_alpha, bin_beta, thr, cfg, seed, live = case
+    ratios = receiver.pass_ratios(e, bin_alpha, bin_beta, thr, cfg, np.random.default_rng(seed),
+                                  live=live)
     agg = e.sum(axis=1)
     gated = (agg >= thr.gamma_lower) & (agg <= thr.gamma_upper)
     if live is not None:
@@ -246,10 +266,10 @@ def test_pass_ratios_gate_zero_rule_and_vote(case):
     counts = ratios[voted] * cfg.upsilon
     assert ((counts >= 0) & (counts <= cfg.upsilon)).all()
     assert np.allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
-    # the voted rows go to vote() in row order, on default_rng(cfg.rng_seed)
+    # the voted rows go to vote() in row order, on the caller's generator
     rows = e[voted]
     passes = vote(rows[:, bin_alpha], rows[:, bin_beta], cfg.r, cfg.upsilon,
-                  np.random.default_rng(cfg.rng_seed))
+                  np.random.default_rng(seed))
     assert (ratios[voted] == passes / cfg.upsilon).all()
 
 
@@ -316,7 +336,8 @@ def test_backtrack_memory_bounded_at_n600():
     tl = synthesize_timeline(code, link, noise_seed=1)
     tracemalloc.start()
     try:
-        out = backtrack_detect(tl, code, link, ReceiverConfig(), d_committed_m=10.0)
+        out = backtrack_detect(tl, code, link, ReceiverConfig(), d_committed_m=10.0,
+                               rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,7 +352,8 @@ def test_backtrack_honest_exact_toa():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                           rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ACCEPTED
     assert out.toa_ns == tl.start_bin * tl.tp_ns
     assert max(out.pass_ratios) == 1.0
@@ -345,7 +367,8 @@ def test_backtrack_finds_authentic_before_copy():
     replayed = replay_frame(tl, 40.0, 3.0)
     assert replayed.lock_bin == tl.start_bin + 20
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
-    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5)
+    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5,
+                           rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ACCEPTED
     # both alignments verify; the earlier one is the authentic arrival
     assert out.toa_ns == tl.start_bin * tl.tp_ns
@@ -361,7 +384,8 @@ def test_backtrack_hot_copy_aborts():
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=160.0)
     replayed = replay_frame(tl, 40.0, 6.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
-    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5)
+    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5,
+                           rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ATTACK
     assert out.reason == REASON_ENERGY
     # the scan stopped at the first hot candidate, the lock itself
@@ -376,7 +400,8 @@ def test_backtrack_silence_finds_nothing():
     tl = FrameTimeline(amplitudes=np.zeros(bins), start_bin=20, lock_bin=20,
                        code=code, link=link)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                           rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_NO_CODE
     assert all(r == 0.0 for r in out.pass_ratios)
 
@@ -392,7 +417,8 @@ def test_backtrack_lattice_steps_one_bin():
         tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * 200), start_bin=lock,
                            lock_bin=lock, code=code, link=link)
         cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
-        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                               rng=np.random.default_rng(0))
         count = min(int(window_ns / tp_ns) + 1, lock + 1)
         assert out.candidate_toas_ns == tuple((lock - i) * tp_ns for i in range(count))
     for bad in (-2.0, math.nan, math.inf):
@@ -407,8 +433,10 @@ def test_backtrack_phase_flip_invariant():
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     flipped = dataclasses.replace(tl, amplitudes=-tl.amplitudes)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    a = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
-    b = backtrack_detect(flipped, code, link, cfg, d_committed_m=link.d1_m)
+    a = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                         rng=np.random.default_rng(0))
+    b = backtrack_detect(flipped, code, link, cfg, d_committed_m=link.d1_m,
+                         rng=np.random.default_rng(0))
     assert a.verdict == b.verdict and a.toa_ns == b.toa_ns
 
 
@@ -418,7 +446,8 @@ def test_backtrack_never_returns_later_than_lock():
     link = unity_link(sigma_n2=0.01)
     tl = synthesize_timeline(code, link, noise_seed=9, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                           rng=np.random.default_rng(0))
     if out.verdict == VERDICT_ACCEPTED:
         assert out.toa_ns <= tl.lock_bin * tl.tp_ns
 
@@ -429,7 +458,8 @@ def test_outcome_csv_schema():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                           rng=np.random.default_rng(0))
     lines = outcome_to_csv(out).strip().split("\n")
     assert lines[0] == "# schema=1"
     assert lines[1] == "candidate_toa_ns,aggregate,pass_ratio"
@@ -448,7 +478,8 @@ def test_backtrack_accepts_nothing_later_than_lock(code_seed, noise_seed, vote_s
     tl = synthesize_timeline(code, link, noise_seed=noise_seed, lead_ns=40.0, tail_ns=100.0)
     if delay_ns:
         tl = replay_frame(tl, delay_ns, 6.0)
-    cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0, rng_seed=vote_seed)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m)
+    cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
+    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                           rng=np.random.default_rng(vote_seed))
     if out.verdict == VERDICT_ACCEPTED:
         assert out.toa_ns <= tl.lock_bin * tl.tp_ns
