@@ -41,12 +41,13 @@ class AttackPlan:
 def plan_attack(
     code_params: CodeParams,
     k: int,
-    seed: int = 0,
+    seed=0,
 ) -> AttackPlan:
     """Draw an attack: k distinct uniform slots, independent random phases.
 
     It is the draw of a code with k pulses: plan_attack(params, params.alpha,
-    seed).phases equals generate_code(params, seed).slots.
+    seed).phases equals generate_code(params, seed).slots. seed is an int
+    or a Generator, which the draw advances in place.
     """
     if not 0 <= k <= code_params.n:
         raise ValueError("cannot inject more pulses than there are slots")

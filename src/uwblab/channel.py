@@ -169,7 +169,7 @@ def synthesize_timeline(
     code: VerificationCode,
     link: LinkModel,
     attack=None,
-    noise_seed: int = 0,
+    noise_seed=0,
     lead_ns: float = 800.0,
     tail_ns: float = 1100.0,
 ) -> FrameTimeline:
@@ -179,7 +179,8 @@ def synthesize_timeline(
     tail_ns of extra record after it so a delayed copy of less than one
     slot spacing still fits. Each slot bin receives superpose()'s amplitude
     of the code and the attack's phases. Every bin carries independent
-    N(0, sigma_n2) noise drawn from noise_seed. One frame at slot
+    N(0, sigma_n2) noise from default_rng(noise_seed), an int or a Generator
+    drawn from in place (a noiseless link draws nothing). One frame at slot
     resolution is amplitudes[slot_bins(start_bin)].
     """
     params = code.params

@@ -57,16 +57,17 @@ def _unit_slots(values, name: str) -> np.ndarray:
     return vec
 
 
-def _draw_slots(n: int, count: int, seed: int) -> np.ndarray:
+def _draw_slots(n: int, count: int, seed) -> np.ndarray:
     """int8 n-vector of count distinct uniform slots at independent uniform signs.
 
-    The one draw of codes and attack plans. Positions and signs come from
-    two independent child streams of the seed.
+    The one draw of codes and attack plans: the positions, then the signs,
+    from default_rng(seed). An int seeds a fresh generator; a Generator is
+    drawn from in place.
     """
-    pos_ss, sign_ss = np.random.SeedSequence(seed).spawn(2)
-    at = np.random.default_rng(pos_ss).choice(n, size=count, replace=False)
+    rng = np.random.default_rng(seed)
+    at = rng.choice(n, size=count, replace=False)
     slots = np.zeros(n, dtype=np.int8)
-    signs = np.random.default_rng(sign_ss).integers(0, 2, size=count).astype(np.int8)
+    signs = rng.integers(0, 2, size=count).astype(np.int8)
     slots[at] = 2 * signs - 1  # in int8: an int64 product cast on assignment is slower
     return slots
 
@@ -88,10 +89,11 @@ class VerificationCode:
         object.__setattr__(self, "slots", slots)
 
 
-def generate_code(params: CodeParams, seed: int) -> VerificationCode:
+def generate_code(params: CodeParams, seed) -> VerificationCode:
     """Draw a fresh code: uniform alpha-subset of slots, independent signs.
 
-    The same (params, seed) always reproduces the same code, and the same
+    seed is an int or a Generator, which the draw advances in place. The
+    same (params, int seed) always reproduces the same code, and the same
     slot vector as plan_attack(params, params.alpha, seed).phases.
     """
     return VerificationCode(params=params, slots=_draw_slots(params.n, params.alpha, seed))

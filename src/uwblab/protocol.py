@@ -131,6 +131,10 @@ def run_session(
     the authentic frame to hide it from backtracking. Both directions of
     the verification exchange run detection; the response direction carries
     the attack. Honest runs end verified with commit and verify times equal.
+
+    One generator, default_rng(seed), draws both codes, the attack plan
+    (under attack with k > 0), both frames' noise and only then both
+    frames' votes, so the number of votes cast never moves a frame.
     """
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
@@ -142,40 +146,27 @@ def run_session(
         return state
     d_committed = state.t_commit_tof_ns * SPEED_OF_LIGHT_M_PER_NS
 
-    t_true = link.d1_m / SPEED_OF_LIGHT_M_PER_NS
-    code_ss, noise_ss, attack_ss, vote_ss = np.random.SeedSequence(seed).spawn(4)
-    code_seeds = code_ss.generate_state(2)
-    noise_seeds = noise_ss.generate_state(2)
-    attack_seed = int(attack_ss.generate_state(1)[0])
-    vote_rng = np.random.default_rng(vote_ss)
+    rng = np.random.default_rng(seed)
+    codes = [generate_code(params, rng), generate_code(params, rng)]
+    plan = plan_attack(params, k, seed=rng) if attacked and k > 0 else None
+    frames = [synthesize_timeline(codes[0], link, noise_seed=rng),
+              synthesize_timeline(codes[1], link, attack=plan, noise_seed=rng)]
+    if attacked:
+        frames[1] = replay_frame(frames[1], replay_delay_ns, replay_gain_db)
 
     outcomes = []
-    toa_offset_ns = float("nan")
-    for direction in (0, 1):
-        code = generate_code(params, int(code_seeds[direction]))
-        carries_attack = attacked and direction == 1
-        plan = None
-        if carries_attack and k > 0:
-            plan = plan_attack(params, k, seed=attack_seed)
-        timeline = synthesize_timeline(
-            code, link, attack=plan, noise_seed=int(noise_seeds[direction])
-        )
-        if carries_attack:
-            timeline = replay_frame(timeline, replay_delay_ns, replay_gain_db)
-        outcome = backtrack_detect(timeline, code, link, receiver, d_committed_m=d_committed,
-                                   rng=vote_rng)
-        state._log(f"frame {('challenge', 'response')[direction]}: {outcome.verdict}")
-        outcomes.append(outcome)
-        if direction == 1 and outcome.verdict == VERDICT_ACCEPTED:
-            toa_offset_ns = outcome.toa_ns - timeline.start_bin * timeline.tp_ns
-
-    for outcome in outcomes:
-        if outcome.verdict != VERDICT_ACCEPTED:
-            verification_phase(state, outcome)
-            return state
+    for name, code, timeline in zip(("challenge", "response"), codes, frames):
+        outcomes.append(backtrack_detect(timeline, code, link, receiver,
+                                         d_committed_m=d_committed, rng=rng))
+        state._log(f"frame {name}: {outcomes[-1].verdict}")
+    rejected = [o for o in outcomes if o.verdict != VERDICT_ACCEPTED]
+    if rejected:
+        verification_phase(state, rejected[0])
+        return state
     # one attacked direction shifts the round trip by the arrival offset,
     # which enters the one-way time of flight halved
-    t_verify = t_true + toa_offset_ns / 2.0
+    toa_offset_ns = outcomes[1].toa_ns - frames[1].start_bin * frames[1].tp_ns
+    t_verify = link.d1_m / SPEED_OF_LIGHT_M_PER_NS + toa_offset_ns / 2.0
     verification_phase(state, outcomes[1], t_verify)
     return state
 

@@ -47,7 +47,7 @@ class ReceiverConfig:
     upsilon repeated sample comparisons vote on code presence; the vote
     ratio must exceed p_noise_threshold, set above what pure noise can
     reach. Backtracking steps back one timeline bin (the pulse width tp_ns)
-    at a time over a window of backtrack_window_ns.
+    at a time over a window of backtrack_window_ns, short of one slot spacing.
     """
 
     r: int = 8
@@ -258,8 +258,10 @@ def backtrack_detect(
     """Scan earlier frame alignments for a hidden authentic copy.
 
     Starting from the acquisition lock, candidate frame starts step earlier
-    one bin (tp_ns) at a time, int(backtrack_window_ns / tp_ns) + 1 of them
-    where the timeline reaches back that far. Any candidate whose
+    one bin (tp_ns) at a time: int(backtrack_window_ns / tp_ns) + 1 of them,
+    at most stride (a replay trails by less than one slot spacing, and a
+    start a whole spacing back reads the code shifted by whole slots), and
+    only where the timeline reaches back that far. Any candidate whose
     aggregate exceeds the ceiling aborts the scan as an attack; candidates
     below the noise floor are skipped; the rest take the code vote. Among
     accepted candidates the earliest time of arrival wins, since a replayed
@@ -270,7 +272,7 @@ def backtrack_detect(
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
 
-    n_steps = int(cfg.backtrack_window_ns / timeline.tp_ns)
+    n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
     starts = np.arange(timeline.lock_bin, -1, -1)[: n_steps + 1]
     if len(starts) == 0:
         raise ValueError("timeline does not cover the backtracking window")

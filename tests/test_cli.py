@@ -1,10 +1,17 @@
 """Command-line surface: exit codes, CSV schemas, the worked example."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from uwblab.analytic import appendix_prob_delta, prob_evade_rcv, prob_noise_pass, prob_success
 from uwblab.cli import _agreement_ok, main
 from uwblab.montecarlo import EstimateRow
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -240,3 +247,14 @@ def test_unknown_command_exits_2(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run([sys.executable, "-m", "uwblab", "validate", "--help"], cwd=ROOT,
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "--trials" in result.stdout

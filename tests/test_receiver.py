@@ -426,6 +426,24 @@ def test_backtrack_lattice_steps_one_bin():
             ReceiverConfig(backtrack_window_ns=bad)
 
 
+def test_backtrack_window_stops_short_of_a_slot_spacing():
+    # a window of one slot spacing or more scans stride candidates, the lock
+    # and stride - 1 earlier bins: a start a whole spacing back would read
+    # the code shifted by whole slots, never an earlier arrival
+    link = unity_link()
+    params = small_params()
+    code = generate_code(params, seed=2)
+    lock = 400
+    tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * params.stride), start_bin=lock,
+                       lock_bin=lock, code=code, link=link)
+    for window_ns in (98.0, 100.0, 660.0):
+        cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
+        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                               rng=np.random.default_rng(0))
+        assert out.candidate_toas_ns == tuple((lock - i) * params.tp_ns
+                                              for i in range(params.stride))
+
+
 def test_backtrack_phase_flip_invariant():
     params = small_params()
     code = generate_code(params, seed=2)
