@@ -285,44 +285,6 @@ PIN_COUNTS = {
 
 
 @pytest.fixture
-def frame_outcomes(monkeypatch):
-    """The DetectionOutcome of every frame run_session detects, in order."""
-    outcomes = []
-
-    def capture(*args, **kwargs):
-        outcomes.append(backtrack_detect(*args, **kwargs))
-        return outcomes[-1]
-
-    monkeypatch.setattr(protocol, "backtrack_detect", capture)
-    return outcomes
-
-
-def _pinned_session(mode, seed, frame_outcomes):
-    frame_outcomes.clear()
-    mode_kw = dict(PIN_MODES[mode])
-    return run_session(PIN_PARAMS, mode_kw.pop("link"), seed=seed, receiver=RCV, **mode_kw)
-
-
-@pytest.mark.parametrize("mode", sorted(PIN_MODES))
-def test_session_stream_pin(frame_outcomes, mode):
-    state = _pinned_session(mode, PIN_SEED, frame_outcomes)
-    assert len(frame_outcomes) == 2
-    assert session_trace(state) == PIN_TRACE[mode]
-    assert outcome_to_csv(frame_outcomes[1]) == PIN_RESPONSE_CSV[mode]
-
-    counts, passes = {}, 0
-    for seed in range(100):
-        state = _pinned_session(mode, seed, frame_outcomes)
-        key = (state.phase, state.alarm_reason)
-        counts[key] = counts.get(key, 0) + 1
-        passes += sum(round(x * RCV.upsilon) for o in frame_outcomes
-                      for x in o.pass_ratios if not math.isnan(x))
-    assert (counts, passes) == PIN_COUNTS[mode]
-
-
-# -- draw order -------------------------------------------------------------------
-
-@pytest.fixture
 def frame_calls(monkeypatch):
     """(code slots, DetectionOutcome) of every frame run_session detects, in order."""
     calls = []
@@ -335,16 +297,37 @@ def frame_calls(monkeypatch):
     return calls
 
 
+def _pinned_session(mode, seed, frame_calls, receiver=RCV):
+    frame_calls.clear()
+    mode_kw = dict(PIN_MODES[mode])
+    return run_session(PIN_PARAMS, mode_kw.pop("link"), seed=seed, receiver=receiver, **mode_kw)
+
+
+@pytest.mark.parametrize("mode", sorted(PIN_MODES))
+def test_session_stream_pin(frame_calls, mode):
+    state = _pinned_session(mode, PIN_SEED, frame_calls)
+    assert len(frame_calls) == 2
+    assert session_trace(state) == PIN_TRACE[mode]
+    assert outcome_to_csv(frame_calls[1][1]) == PIN_RESPONSE_CSV[mode]
+
+    counts, passes = {}, 0
+    for seed in range(100):
+        state = _pinned_session(mode, seed, frame_calls)
+        key = (state.phase, state.alarm_reason)
+        counts[key] = counts.get(key, 0) + 1
+        passes += sum(round(x * RCV.upsilon) for _, o in frame_calls
+                      for x in o.pass_ratios if not math.isnan(x))
+    assert (counts, passes) == PIN_COUNTS[mode]
+
+
+# -- draw order -------------------------------------------------------------------
+
 @pytest.mark.parametrize("mode", sorted(PIN_MODES))
 def test_frames_are_drawn_before_any_vote(frame_calls, mode):
     # the vote count moves no frame: codes, candidates and aggregates match
-    mode_kw = dict(PIN_MODES[mode])
-    link = mode_kw.pop("link")
     frames = []
     for upsilon in (25, 50):
-        frame_calls.clear()
-        run_session(PIN_PARAMS, link, seed=PIN_SEED,
-                    receiver=dataclasses.replace(RCV, upsilon=upsilon), **mode_kw)
+        _pinned_session(mode, PIN_SEED, frame_calls, dataclasses.replace(RCV, upsilon=upsilon))
         frames.append([(slots.tolist(), o.candidate_toas_ns, o.aggregates)
                        for slots, o in frame_calls])
     assert len(frames[0]) == 2 and frames[0] == frames[1]
