@@ -1,7 +1,5 @@
 """`python -m uwblab`: the command-line front end, exiting with its code."""
 
-import sys
-
 from .cli import main
 
-sys.exit(main())
+raise SystemExit(main())

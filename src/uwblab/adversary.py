@@ -60,15 +60,15 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
     The copy is superpose()'s replayed frame of the timeline's code and link:
     the clean authentic frame (the adversary recorded it before its own
     injections reached the receiver) scaled by gain_db, here shifted by
-    delay_ns. The delay must stay inside one slot spacing or the
-    round-trip bookkeeping would already give the replay away. Acquisition
-    lock moves to whichever frame copy now holds the strongest pulse, the
-    later copy winning ties.
+    delay_ns rounded to whole bins, 1 to stride - 1 of them: a whole slot
+    spacing or more would already show in the round-trip bookkeeping.
+    Acquisition lock moves to whichever frame copy now holds the strongest
+    pulse, the later copy winning ties.
     """
-    params = timeline.code.params
-    if not 0 < delay_ns < params.ts_ns:
-        raise ValueError("replay delay must lie strictly inside one slot spacing")
-    copy_start = timeline.start_bin + int(round(delay_ns / params.tp_ns))
+    shift = int(round(delay_ns / timeline.tp_ns))
+    if not 0 < shift < timeline.code.params.stride:
+        raise ValueError("replay delay must round to one bin or more, short of one slot spacing")
+    copy_start = timeline.start_bin + shift
     copy_bins = timeline.slot_bins(copy_start)
     if copy_bins[-1] >= len(timeline.amplitudes):
         raise ValueError("timeline too short to hold the delayed copy")

@@ -368,3 +368,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -65,8 +65,7 @@ def commitment_phase(state: ProtocolState, link: LinkModel, adversary_delay_ns: 
     """
     if state.phase != PHASE_IDLE:
         raise RuntimeError(f"commitment must start from idle, session is {state.phase}")
-    t_true = link.d1_m / SPEED_OF_LIGHT_M_PER_NS
-    t_commit = t_true + adversary_delay_ns
+    t_commit = link.d1_m / SPEED_OF_LIGHT_M_PER_NS + adversary_delay_ns
     state.t_commit_tof_ns = t_commit
     state._log(
         "commit: t_tof=%.4f ns (d=%.3f m)"
@@ -140,8 +139,7 @@ def run_session(
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
     state = ProtocolState(t_max_tof_ns=max_range_m / SPEED_OF_LIGHT_M_PER_NS)
     attacked = replay_delay_ns > 0
-    commit_delay = replay_delay_ns / 2.0 if attacked else 0.0
-    commitment_phase(state, link, commit_delay)
+    commitment_phase(state, link, replay_delay_ns / 2.0 if attacked else 0.0)
     if state.phase == PHASE_ALARMED:
         return state
     d_committed = state.t_commit_tof_ns * SPEED_OF_LIGHT_M_PER_NS

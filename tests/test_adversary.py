@@ -20,14 +20,15 @@ def test_plan_validation():
 
 
 def test_replay_delay_inside_slot_spacing():
-    # a copy one full slot spacing late would already show in the round trip
+    # a copy one full slot spacing late would already show in the round trip;
+    # the delay counts in whole 2 ns bins, 1 to 499 of them for a 500-bin stride
     code = generate_code(CodeParams(n=6, alpha=2, beta=4, r=1), seed=5)
     tl = synthesize_timeline(code, unity_link(), noise_seed=0)
-    replay_frame(tl, 999.0, 6.0)
-    with pytest.raises(ValueError):
-        replay_frame(tl, 1000.0, 6.0)
-    with pytest.raises(ValueError):
-        replay_frame(tl, 0.0, 6.0)
+    assert replay_frame(tl, 998.0, 6.0).lock_bin == tl.start_bin + 499
+    assert replay_frame(tl, 1.1, 6.0).lock_bin == tl.start_bin + 1
+    for delay_ns in (999.0, 1000.0, 0.0, 0.9):
+        with pytest.raises(ValueError):
+            replay_frame(tl, delay_ns, 6.0)
 
 
 def test_plan_attack_shape_and_determinism():

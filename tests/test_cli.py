@@ -254,7 +254,9 @@ def test_python_dash_m_runs_the_cli():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    result = subprocess.run([sys.executable, "-m", "uwblab", "validate", "--help"], cwd=ROOT,
-                            env=env, capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert "--trials" in result.stdout
+    # the package and its cli module both run as the command-line front end
+    for module in ("uwblab", "uwblab.cli"):
+        result = subprocess.run([sys.executable, "-m", module, "validate", "--help"], cwd=ROOT,
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert "--trials" in result.stdout

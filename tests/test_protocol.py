@@ -83,6 +83,20 @@ def test_replay_session_alarms_on_tof_mismatch():
         assert state.alarm_reason == REASON_TOF
 
 
+def test_replay_rounding_to_a_whole_spacing_is_refused():
+    # backtracking stops one bin short of a slot spacing, so a replayed copy
+    # must land short of it too: 99.5 ns over 2 ns bins rounds to the whole
+    # 50-bin stride and is refused; 98.9 ns, 49 bins late, still alarms
+    for seed in range(3):
+        with pytest.raises(ValueError, match="slot spacing"):
+            run_session(PARAMS, replay_link(), seed=seed, replay_delay_ns=99.5,
+                        replay_gain_db=6.0, receiver=RCV)
+        state = run_session(PARAMS, replay_link(), seed=seed, replay_delay_ns=98.9,
+                            replay_gain_db=6.0, receiver=RCV)
+        assert state.phase == PHASE_ALARMED
+        assert state.alarm_reason == REASON_TOF
+
+
 def test_overdriven_replay_alarms_on_energy():
     state = run_session(PARAMS, replay_link(), seed=0,
                         replay_delay_ns=60.0, replay_gain_db=12.0,
