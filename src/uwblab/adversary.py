@@ -61,17 +61,16 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
     the clean authentic frame (the adversary recorded it before its own
     injections reached the receiver) scaled by gain_db, here shifted by
     delay_ns rounded to whole bins, 1 to stride - 1 of them: a whole slot
-    spacing or more would already show in the round-trip bookkeeping.
-    Acquisition lock moves to whichever frame copy now holds the strongest
-    pulse, the later copy winning ties.
+    spacing or more would already show in the round-trip bookkeeping, and
+    no more than the record reaches (the timeline's tail_ns). Acquisition
+    lock moves to whichever frame copy now holds the strongest pulse, the
+    later copy winning ties.
     """
     shift = int(round(delay_ns / timeline.tp_ns))
     if not 0 < shift < timeline.code.params.stride:
         raise ValueError("replay delay must round to one bin or more, short of one slot spacing")
     copy_start = timeline.start_bin + shift
     copy_bins = timeline.slot_bins(copy_start)
-    if copy_bins[-1] >= len(timeline.amplitudes):
-        raise ValueError("timeline too short to hold the delayed copy")
     _, copy = superpose(timeline.link, timeline.code.slots, 0, gain_db)
     amps = timeline.amplitudes.copy()
     amps[copy_bins] += copy

@@ -135,13 +135,14 @@ def signal_to_csv(amplitudes) -> str:
 
 @dataclass(frozen=True, eq=False)
 class FrameTimeline:
-    """Dense received amplitude train at pulse-width resolution.
+    """Received amplitudes at pulse-width resolution, kept only where a frame is read.
 
-    One bin per tp_ns; slot i of a frame starting at bin s occupies bin
-    s + i * code.params.stride. start_bin marks the authentic frame, lock_bin
-    the frame start the receiver's acquisition locked onto (the strongest
-    copy). A replay takes its copy from superpose() of the code and link the
-    frame was synthesized from, as the adversary overheard it.
+    One bin per tp_ns; slot i of a frame starting at bin s lies at bin
+    s + i * code.params.stride and is kept at rows[i, s]. pitch is the
+    stride for one train from bin 0 (the default), or less for n rows, one
+    around each slot. start_bin marks the authentic frame, lock_bin the
+    frame start the receiver's acquisition locked onto (the strongest copy).
+    A replay copies superpose() of the code and link the frame came from.
     """
 
     amplitudes: np.ndarray
@@ -149,20 +150,30 @@ class FrameTimeline:
     lock_bin: int
     code: VerificationCode
     link: LinkModel
+    pitch: int | None = None
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.float64)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.float64)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "pitch", self.pitch or self.code.params.stride)
 
     @property
     def tp_ns(self) -> float:
         return self.code.params.tp_ns
 
-    def slot_bins(self, frame_start_bin) -> np.ndarray:
-        """Bins of a frame's n slots; a (rows, 1) array of starts gives one row each."""
-        params = self.code.params
-        return frame_start_bin + np.arange(params.n) * params.stride
+    @property
+    def rows(self) -> np.ndarray:
+        """Read-only view: rows[i, s] = amplitudes[s + i * pitch] for each frame start s held."""
+        amps, n = self.amplitudes, self.code.params.n
+        return np.ndarray((n, max(0, len(amps) - (n - 1) * self.pitch)), buffer=amps,
+                          strides=(self.pitch * amps.itemsize, amps.itemsize))
+
+    def slot_bins(self, frame_start_bin: int) -> np.ndarray:
+        """Record positions of a frame's n slots; raises for a start the record does not hold."""
+        if not 0 <= frame_start_bin < self.rows.shape[1]:
+            raise ValueError("timeline too short to hold frame start %d" % frame_start_bin)
+        return frame_start_bin + np.arange(self.code.params.n) * self.pitch
 
 
 def synthesize_timeline(
@@ -173,20 +184,25 @@ def synthesize_timeline(
     lead_ns: float = 800.0,
     tail_ns: float = 1100.0,
 ) -> FrameTimeline:
-    """Lay one received frame onto a dense timeline.
+    """Lay one received frame onto a timeline that records only the bins read.
 
-    The frame starts lead_ns into the record (its time of arrival), with
-    tail_ns of extra record after it so a delayed copy of less than one
-    slot spacing still fits. Each slot bin receives superpose()'s amplitude
-    of the code and the attack's phases. Every bin carries independent
-    N(0, sigma_n2) noise from default_rng(noise_seed), an int or a Generator
-    drawn from in place (a noiseless link draws nothing). One frame at slot
-    resolution is amplitudes[slot_bins(start_bin)].
+    The frame starts lead_ns into the record (its time of arrival), which
+    reaches lead_ns before and tail_ns after each slot, for backtracking and
+    a delayed copy: one train from bin 0 where neighbouring reaches meet,
+    else n rows of lead + tail + 1 bins. Each slot bin receives superpose()'s
+    amplitude of the code and the attack's phases. Every recorded bin
+    carries independent N(0, sigma_n2) noise, drawn in bin order from
+    default_rng(noise_seed), an int or a Generator drawn from in place (a
+    noiseless link draws nothing). A frame's slots are amplitudes[slot_bins(start)].
     """
     params = code.params
-    tp, stride = params.tp_ns, params.stride
-    start_bin = int(round(lead_ns / tp))
-    nbins = start_bin + params.n * stride + int(round(tail_ns / tp))
+    for name, ns in (("lead_ns", lead_ns), ("tail_ns", tail_ns)):
+        if not 0 <= ns < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative")
+    lead = int(round(lead_ns / params.tp_ns))
+    width = lead + int(round(tail_ns / params.tp_ns)) + 1
+    pitch = min(width, params.stride)
+    nbins = (params.n - 1) * pitch + width
     phases = 0 if attack is None else attack.phases
     if attack is not None and len(phases) != params.n:
         raise ValueError("attack plan length must equal the frame's n")
@@ -197,6 +213,6 @@ def synthesize_timeline(
         amps = rng.normal(0.0, math.sqrt(link.sigma_n2), size=nbins)
     else:
         amps = np.zeros(nbins)
-    amps[start_bin:start_bin + params.n * stride:stride] += received
-    return FrameTimeline(amplitudes=amps, start_bin=start_bin, lock_bin=start_bin,
-                         code=code, link=link)
+    amps[lead:lead + params.n * pitch:pitch] += received
+    return FrameTimeline(amplitudes=amps, start_bin=lead, lock_bin=lead,
+                         code=code, link=link, pitch=pitch)

@@ -133,7 +133,9 @@ def run_session(
 
     One generator, default_rng(seed), draws both codes, the attack plan
     (under attack with k > 0), both frames' noise and only then both
-    frames' votes, so the number of votes cast never moves a frame.
+    frames' votes, so the number of votes cast never moves a frame. A
+    frame records only the backtracking window before each slot and the
+    replay delay after it, so no noise is drawn where nothing reads it.
     """
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
@@ -147,8 +149,9 @@ def run_session(
     rng = np.random.default_rng(seed)
     codes = [generate_code(params, rng), generate_code(params, rng)]
     plan = plan_attack(params, k, seed=rng) if attacked and k > 0 else None
-    frames = [synthesize_timeline(codes[0], link, noise_seed=rng),
-              synthesize_timeline(codes[1], link, attack=plan, noise_seed=rng)]
+    lead_ns, tail_ns = receiver.backtrack_window_ns, replay_delay_ns if attacked else 0.0
+    frames = [synthesize_timeline(codes[0], link, None, rng, lead_ns, 0.0),
+              synthesize_timeline(codes[1], link, plan, rng, lead_ns, tail_ns)]
     if attacked:
         frames[1] = replay_frame(frames[1], replay_delay_ns, replay_gain_db)
 

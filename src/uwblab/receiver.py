@@ -261,7 +261,8 @@ def backtrack_detect(
     one bin (tp_ns) at a time: int(backtrack_window_ns / tp_ns) + 1 of them,
     at most stride (a replay trails by less than one slot spacing, and a
     start a whole spacing back reads the code shifted by whole slots), and
-    only where the timeline reaches back that far. Any candidate whose
+    only down to bin 0, lead_ns before the authentic frame, where the
+    record stops (a slice of timeline.rows). Any candidate whose
     aggregate exceeds the ceiling aborts the scan as an attack; candidates
     below the noise floor are skipped; the rest take the code vote. Among
     accepted candidates the earliest time of arrival wins, since a replayed
@@ -273,11 +274,12 @@ def backtrack_detect(
     thresholds = compute_thresholds(link, params, d_committed_m)
 
     n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
-    starts = np.arange(timeline.lock_bin, -1, -1)[: n_steps + 1]
-    if len(starts) == 0:
-        raise ValueError("timeline does not cover the backtracking window")
+    lock, rows = timeline.lock_bin, timeline.rows
+    if not 0 <= lock < rows.shape[1]:
+        raise ValueError("timeline does not reach the acquisition lock")
+    starts = np.arange(lock, -1, -1)[: n_steps + 1]
 
-    energies = timeline.amplitudes[timeline.slot_bins(starts[:, None])] ** 2
+    energies = np.square(rows[:, starts[-1]:lock + 1].T[::-1], order="C")
     aggregates = energies.sum(axis=1)
     toas = starts * timeline.tp_ns
 

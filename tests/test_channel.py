@@ -144,6 +144,61 @@ def test_noise_statistics():
     assert abs(float(noise.var()) - 0.25) < 0.02
 
 
+def test_lattice_noise_statistics():
+    # 11-bin reaches around 50-bin slot spacings: the record keeps n rows of
+    # 11 bins, and every kept bin draws N(0, sigma^2), in bin order, in one call
+    params = CodeParams(n=4000, alpha=1000, beta=3000, ts_ns=100.0, tp_ns=2.0, r=1)
+    code = generate_code(params, seed=2)
+    reach = dict(lead_ns=10.0, tail_ns=10.0)
+    tl = synthesize_timeline(code, unity_link(sigma_n2=0.25), noise_seed=5, **reach)
+    clean = synthesize_timeline(code, unity_link(), **reach)
+    assert tl.pitch == 11 and len(tl.amplitudes) == params.n * 11
+    noise = tl.amplitudes - clean.amplitudes
+    assert np.allclose(noise, np.random.default_rng(5).normal(0.0, 0.5, params.n * 11),
+                       rtol=0, atol=1e-12)
+    assert abs(float(noise.mean())) < 0.05
+    assert abs(float(noise.var()) - 0.25) < 0.02
+
+
+def test_contiguous_record_is_a_prefix_of_the_dense_train():
+    # reaches that meet keep one train from bin 0 to the last slot plus the
+    # tail, drawn as the first bins of one noise stream
+    params = CodeParams(n=6, alpha=2, beta=4, ts_ns=100.0, tp_ns=2.0, r=1)
+    link = unity_link(sigma_n2=0.25)
+    tl = synthesize_timeline(generate_code(params, seed=3), link,
+                             noise_seed=4, lead_ns=40.0, tail_ns=60.0)
+    assert tl.pitch == params.stride and len(tl.amplitudes) == 20 + 5 * 50 + 31
+    dense = np.random.default_rng(4).normal(0.0, 0.5, size=20 + 6 * 50 + 30)
+    off_slot = np.ones(len(tl.amplitudes), dtype=bool)
+    off_slot[tl.slot_bins(tl.start_bin)] = False
+    assert np.array_equal(tl.amplitudes[off_slot], dense[:len(tl.amplitudes)][off_slot])
+
+
+@pytest.mark.parametrize("bad", [-90.0, -10.0, math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("name", ["lead_ns", "tail_ns"])
+def test_timeline_refuses_bad_reach(name, bad):
+    params = CodeParams(n=6, alpha=2, beta=4, ts_ns=100.0, tp_ns=2.0, r=1)
+    with pytest.raises(ValueError, match=name):
+        synthesize_timeline(generate_code(params, seed=3), unity_link(), **{name: bad})
+
+
+def test_lattice_refuses_reads_outside_the_record():
+    # 10 bins of lead and 20 of tail around 50-bin slot spacings: frame
+    # starts 0..30 are held, and no read wraps into the next slot's row
+    params = CodeParams(n=6, alpha=2, beta=4, ts_ns=100.0, tp_ns=2.0, r=1)
+    code = generate_code(params, seed=3)
+    tl = synthesize_timeline(code, unity_link(), lead_ns=20.0, tail_ns=40.0)
+    assert (tl.start_bin, tl.pitch, len(tl.amplitudes)) == (10, 31, 6 * 31)
+    assert np.allclose(tl.amplitudes[tl.slot_bins(tl.start_bin)], code.slots, atol=1e-9)
+    assert tl.slot_bins(30).tolist() == [30 + 31 * i for i in range(6)]
+    for start in (-1, 31, 60):
+        with pytest.raises(ValueError, match="too short"):
+            tl.slot_bins(start)
+    assert replay_frame(tl, 40.0, 6.0).lock_bin == 30
+    with pytest.raises(ValueError, match="too short"):
+        replay_frame(tl, 42.0, 6.0)
+
+
 def test_signal_csv_schema():
     code = code_from_line("1,0,-1")
     text = signal_to_csv(frame_amps(code, unity_link()))

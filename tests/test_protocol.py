@@ -166,145 +166,145 @@ PIN_TRACE = {
     "honest": "commit: t_tof=33.3556 ns (d=10.000 m)\nframe challenge: code_accepted\n"
               "frame response: code_accepted\nverify: t_tof=33.3556 ns\nverified\n",
     "replay_k0": "commit: t_tof=300.1334 ns (d=89.980 m)\nframe challenge: code_accepted\n"
-                 "frame response: code_accepted\nverify: t_tof=200.1334 ns\n"
+                 "frame response: code_accepted\nverify: t_tof=199.1334 ns\n"
                  "alarm: tof_mismatch\n",
     "replay_k3": "commit: t_tof=300.1334 ns (d=89.980 m)\nframe challenge: code_accepted\n"
                  "frame response: attack_detected\nalarm: energy_exceeded\n",
 }
 PIN_RESPONSE_CSV = {
-    "honest": CSV_HEAD + "800,7.00585299248e-07,1\n"
-              + "".join("%d,0,0\n" % t for t in range(798, 579, -2)),
+    "honest": CSV_HEAD + "220,7.00585299248e-07,1\n"
+              + "".join("%d,0,0\n" % t for t in range(218, -1, -2)),
     "replay_k0": CSV_HEAD + """\
-1000,7.78459361854e-08,1
-998,3.82477002134e-10,nan
-996,1.78511720421e-09,0.84
-994,1.00634610046e-09,0.32
-992,8.03972199307e-10,nan
-990,1.43432057012e-09,1
-988,8.76290335613e-10,nan
-986,1.01072720825e-09,0.2
-984,4.63929038926e-10,nan
-982,7.46145566952e-10,nan
-980,1.07806510362e-09,0.68
-978,1.39076282996e-09,0.44
-976,1.21811302561e-09,0.72
-974,6.5180808494e-10,nan
-972,1.13351987326e-09,0.44
-970,6.49923138461e-10,nan
-968,9.15182837958e-10,0.32
-966,1.38354593554e-09,0.32
-964,4.28439405881e-10,nan
-962,6.15718054202e-10,nan
-960,7.08281756534e-10,nan
-958,8.09723903831e-10,nan
-956,9.21736882461e-10,0.56
-954,1.50760785227e-09,0.48
-952,1.79646342403e-10,nan
-950,4.95198705262e-10,nan
-948,1.05160942834e-09,0.48
-946,6.67234698933e-10,nan
-944,7.56711205935e-10,nan
-942,1.747002472e-09,0.68
-940,1.64339937682e-09,0.44
-938,1.00107808325e-09,1
-936,5.51565885522e-10,nan
-934,4.16213361572e-10,nan
-932,4.90092022798e-10,nan
-930,5.64437441876e-10,nan
-928,1.19440460949e-09,0.48
-926,1.35370108884e-09,0.12
-924,6.17378966571e-10,nan
-922,7.43268559485e-10,nan
-920,4.93503652424e-10,nan
-918,6.34500279631e-10,nan
-916,6.05573750029e-10,nan
-914,8.06708719708e-10,nan
-912,8.88923368082e-10,nan
-910,9.30465031046e-10,0.76
-908,6.94916264235e-10,nan
-906,4.80145285597e-10,nan
-904,7.92704994807e-10,nan
-902,6.31405762151e-10,nan
-900,1.08465550333e-09,0.76
-898,8.35760013741e-10,nan
-896,5.92743586837e-10,nan
-894,1.51640388077e-09,0.36
-892,1.1250993221e-09,0.04
-890,9.53026905229e-10,0.48
-888,8.18132170597e-10,nan
-886,8.63671737742e-10,nan
-884,9.65740540593e-10,0.56
-882,1.72271273355e-09,0.4
-880,5.04290714298e-10,nan
-878,1.06601959199e-09,0.72
-876,5.50616571248e-10,nan
-874,1.64863092975e-09,0.76
-872,1.35293279164e-09,0.08
-870,1.16732626413e-09,0.6
-868,1.08369064834e-09,0.6
-866,4.32217875182e-10,nan
-864,1.84681028596e-09,0.8
-862,1.60192783399e-09,0.6
-860,1.42370057452e-09,0.76
-858,7.89531942138e-10,nan
-856,9.39151750646e-10,0.72
-854,3.51262652393e-10,nan
-852,1.78315724337e-09,0.44
-850,1.1316463562e-09,0.28
-848,6.73743249014e-10,nan
-846,1.02669521206e-09,0.6
-844,1.07382395294e-09,0.48
-842,8.37783291689e-10,nan
-840,1.12405749186e-09,0.52
-838,6.53375148298e-10,nan
-836,6.36238877052e-10,nan
-834,1.02024458919e-09,0.6
-832,9.1592423644e-10,0.64
-830,1.9376179227e-09,0.28
-828,1.6790311506e-09,0.16
-826,1.46830757004e-09,0.44
-824,4.49202845855e-10,nan
-822,1.62117247671e-09,0.4
-820,1.35264089616e-09,0.12
-818,1.73179210786e-09,0.24
-816,8.92981359357e-10,nan
-814,9.02814492733e-10,nan
-812,6.48619465853e-10,nan
-810,4.63780782238e-10,nan
-808,8.05080280255e-10,nan
-806,1.03715254641e-09,0.32
-804,8.06363147485e-10,nan
-802,7.93850948681e-10,nan
-800,2.03272192388e-08,1
-798,1.37496805585e-09,0.48
-796,8.18171533939e-10,nan
-794,3.74040000738e-10,nan
-792,6.80640149683e-10,nan
-790,1.82106208945e-09,0.56
-788,9.71135485902e-10,0.36
-786,9.5771648543e-10,0.16
-784,1.0345580228e-09,0.24
-782,1.01682723799e-09,0.6
-780,9.07056456287e-10,nan
+420,8.06232913065e-08,1
+418,1.57808400337e-09,0.44
+416,6.28995422351e-10,nan
+414,6.27878760756e-10,nan
+412,1.33653723279e-09,0.76
+410,8.45038815818e-10,nan
+408,1.78243321601e-09,0.84
+406,1.03544757892e-09,0.8
+404,7.86838599737e-10,nan
+402,9.33848968446e-10,0.2
+400,9.46594890601e-10,0.36
+398,6.85248420175e-10,nan
+396,9.59630729993e-10,0.84
+394,7.78887775471e-10,nan
+392,8.1872329185e-10,nan
+390,1.03230596795e-09,0.88
+388,8.01552902343e-10,nan
+386,8.74490646425e-10,nan
+384,1.06916236064e-09,0.52
+382,1.04009595034e-09,0.72
+380,1.14311707131e-09,0.56
+378,9.47274457705e-10,0.72
+376,9.60042731455e-10,0.44
+374,5.41697656646e-10,nan
+372,1.02463950865e-09,0.56
+370,9.67687180388e-10,0.32
+368,7.73256450773e-10,nan
+366,1.20269798232e-09,0.68
+364,1.1098116396e-09,0.56
+362,9.53317982924e-10,0.6
+360,5.80266289314e-10,nan
+358,1.55949753673e-09,0.68
+356,5.75969315233e-10,nan
+354,1.06829955154e-09,0.52
+352,9.98158852011e-10,0.2
+350,1.09474477784e-09,0.56
+348,4.6055162268e-10,nan
+346,1.97566155451e-09,0.36
+344,1.23022163961e-09,0.28
+342,9.06812932436e-10,nan
+340,6.85201594534e-10,nan
+338,7.06120935699e-10,nan
+336,1.57205567437e-09,0.72
+334,5.6693907594e-10,nan
+332,8.53197377026e-10,nan
+330,1.49900513381e-09,0.52
+328,4.10325919718e-10,nan
+326,1.84785825113e-09,0.28
+324,8.21479211427e-10,nan
+322,1.08853120989e-09,0.36
+320,1.04561851642e-09,0.84
+318,9.39607644401e-10,0.32
+316,9.16441246401e-10,0.84
+314,1.02282747663e-09,0.44
+312,6.05616190132e-10,nan
+310,1.24130083644e-09,0.68
+308,1.17585354502e-09,0.8
+306,6.89755070105e-10,nan
+304,6.52970211292e-10,nan
+302,1.22495994306e-09,0.68
+300,1.01846735138e-09,0.12
+298,7.01283005247e-10,nan
+296,6.98007789314e-10,nan
+294,6.79508453474e-10,nan
+292,1.02221072434e-09,0.72
+290,1.58051545659e-09,0.52
+288,2.90510301826e-10,nan
+286,3.67782959447e-10,nan
+284,2.38991378174e-10,nan
+282,4.76280586338e-10,nan
+280,1.20695159774e-09,0.36
+278,6.86406280222e-10,nan
+276,6.2949188999e-10,nan
+274,5.6294047493e-10,nan
+272,4.65499137008e-10,nan
+270,1.13040263062e-09,0.68
+268,6.31726468133e-10,nan
+266,7.64098409292e-10,nan
+264,3.83580343273e-10,nan
+262,7.92220215125e-10,nan
+260,7.51052894213e-10,nan
+258,1.53083907599e-09,0.84
+256,1.08063612599e-09,0.76
+254,9.21550023758e-10,0.56
+252,8.42479217394e-10,nan
+250,9.69135868819e-10,0.52
+248,1.67935160256e-09,0.2
+246,6.75762180015e-10,nan
+244,6.0173494634e-10,nan
+242,6.57759204468e-10,nan
+240,1.06912518606e-09,0.56
+238,6.73400540992e-10,nan
+236,8.36523318546e-10,nan
+234,9.15690137032e-10,0.28
+232,3.05169631927e-10,nan
+230,9.8211679084e-10,0.76
+228,7.40383248124e-10,nan
+226,1.17268520243e-09,0.24
+224,1.74965913433e-09,0.36
+222,9.90544852505e-10,0.52
+220,2.36011036288e-08,1
+218,1.53665295078e-09,0.88
+216,4.29780680376e-10,nan
+214,8.99062976247e-10,nan
+212,7.80762457668e-10,nan
+210,1.38312798157e-09,0.36
+208,7.83927709237e-10,nan
+206,5.88948978185e-10,nan
+204,1.4299482164e-09,0.52
+202,1.09369750701e-09,0.56
+200,6.1799354346e-10,nan
 """,
-    "replay_k3": CSV_HEAD + "800,3.03419960926e-06,nan\n",
+    "replay_k3": CSV_HEAD + "220,2.96917964507e-06,nan\n",
 }
 # over seeds 0..99: (phase, alarm reason) counts and the vote passes summed
 # over both frames of every session
 PIN_COUNTS = {
     "honest": ({(PHASE_VERIFIED, None): 100}, 5000),
-    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 128778),
-    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 62816),
+    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127253),
+    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 62343),
 }
 
 
 @pytest.fixture
 def frame_calls(monkeypatch):
-    """(code slots, DetectionOutcome) of every frame run_session detects, in order."""
+    """(code slots, DetectionOutcome, timeline) of every frame run_session detects, in order."""
     calls = []
 
     def capture(timeline, code, *args, **kwargs):
-        calls.append((code.slots, backtrack_detect(timeline, code, *args, **kwargs)))
+        calls.append((code.slots, backtrack_detect(timeline, code, *args, **kwargs), timeline))
         return calls[-1][1]
 
     monkeypatch.setattr(protocol, "backtrack_detect", capture)
@@ -329,7 +329,7 @@ def test_session_stream_pin(frame_calls, mode):
         state = _pinned_session(mode, seed, frame_calls)
         key = (state.phase, state.alarm_reason)
         counts[key] = counts.get(key, 0) + 1
-        passes += sum(round(x * RCV.upsilon) for _, o in frame_calls
+        passes += sum(round(x * RCV.upsilon) for _, o, _ in frame_calls
                       for x in o.pass_ratios if not math.isnan(x))
     assert (counts, passes) == PIN_COUNTS[mode]
 
@@ -343,8 +343,18 @@ def test_frames_are_drawn_before_any_vote(frame_calls, mode):
     for upsilon in (25, 50):
         _pinned_session(mode, PIN_SEED, frame_calls, dataclasses.replace(RCV, upsilon=upsilon))
         frames.append([(slots.tolist(), o.candidate_toas_ns, o.aggregates)
-                       for slots, o in frame_calls])
+                       for slots, o, _ in frame_calls])
     assert len(frames[0]) == 2 and frames[0] == frames[1]
+
+
+def test_frames_record_only_what_is_read(frame_calls):
+    # at C11's geometry (2 ns bins, a 500-bin slot spacing, a 220 ns window)
+    # each slot keeps 110 bins of lead and its own bin; the response replayed
+    # 200 ns late keeps 100 bins of tail besides
+    for mode, sizes in (("honest", [12 * 111, 12 * 111]), ("replay_k0", [12 * 111, 12 * 211])):
+        _pinned_session(mode, PIN_SEED, frame_calls)
+        assert [len(tl.amplitudes) for _, _, tl in frame_calls] == sizes
+        assert [tl.start_bin for _, _, tl in frame_calls] == [110, 110]
 
 
 def test_challenge_code_is_the_seed_code(frame_calls):

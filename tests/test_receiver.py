@@ -470,6 +470,32 @@ def test_backtrack_never_returns_later_than_lock():
         assert out.toa_ns <= tl.lock_bin * tl.tp_ns
 
 
+def test_lattice_and_dense_records_detect_alike():
+    # a lattice record (10 bins of lead and 30 of tail around 50-bin slot
+    # spacings) and a train from bin 0 holding the same amplitudes at the
+    # same bins, zeros elsewhere, give the same outcome on the same votes,
+    # before and after a replay
+    params = small_params()
+    link = unity_link(sigma_n2=0.05)
+    cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
+    for seed, delay_ns in itertools.product(range(4), (2.0, 20.0, 60.0)):
+        code = generate_code(params, seed=seed)
+        lattice = synthesize_timeline(code, link, noise_seed=seed, lead_ns=20.0, tail_ns=60.0)
+        assert lattice.pitch == 41
+        dense = np.zeros((params.n, params.stride))
+        dense[:, :41] = lattice.amplitudes.reshape(params.n, 41)
+        dense = FrameTimeline(amplitudes=dense.ravel(), start_bin=lattice.start_bin,
+                              lock_bin=lattice.lock_bin, code=code, link=link)
+        for a, b in ((lattice, dense), (replay_frame(lattice, delay_ns, 6.0),
+                                        replay_frame(dense, delay_ns, 6.0))):
+            assert a.lock_bin == b.lock_bin
+            outs = [backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+                                     rng=np.random.default_rng(seed)) for tl in (a, b)]
+            for field in ("verdict", "toa_ns", "reason", "candidate_toas_ns", "aggregates"):
+                assert getattr(outs[0], field) == getattr(outs[1], field), field
+            assert np.array_equal(outs[0].pass_ratios, outs[1].pass_ratios, equal_nan=True)
+
+
 def test_outcome_csv_schema():
     params = small_params()
     code = generate_code(params, seed=2)
