@@ -137,12 +137,12 @@ def signal_to_csv(amplitudes) -> str:
 class FrameTimeline:
     """Received amplitudes at pulse-width resolution, kept only where a frame is read.
 
-    One bin per tp_ns; slot i of a frame starting at bin s lies at bin
-    s + i * code.params.stride and is kept at rows[i, s]. pitch is the
-    stride for one train from bin 0 (the default), or less for n rows, one
-    around each slot. start_bin marks the authentic frame, lock_bin the
-    frame start the receiver's acquisition locked onto (the strongest copy).
-    A replay copies superpose() of the code and link the frame came from.
+    One bin per tp_ns; slot i of a frame starting at bin s (bin s + i * stride)
+    is rows[i, s]. pitch is the stride for one train from bin 0 (the default),
+    or less for n rows, one around each slot. start_bin marks the authentic
+    frame, lock_bin the frame start the receiver's acquisition locked onto
+    (the strongest copy). A replay copies superpose() of the frame's code and
+    link. amplitudes is a read-only view sharing the given array's memory.
     """
 
     amplitudes: np.ndarray
@@ -153,7 +153,7 @@ class FrameTimeline:
     pitch: int | None = None
 
     def __post_init__(self):
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.float64)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.float64).view()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "pitch", self.pitch or self.code.params.stride)
@@ -171,7 +171,7 @@ class FrameTimeline:
 
     def slot_bins(self, frame_start_bin: int) -> np.ndarray:
         """Record positions of a frame's n slots; raises for a start the record does not hold."""
-        if not 0 <= frame_start_bin < self.rows.shape[1]:
+        if not 0 <= frame_start_bin < len(self.amplitudes) - (self.code.params.n - 1) * self.pitch:
             raise ValueError("timeline too short to hold frame start %d" % frame_start_bin)
         return frame_start_bin + np.arange(self.code.params.n) * self.pitch
 

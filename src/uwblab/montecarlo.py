@@ -10,11 +10,11 @@ attack actually produces (the delayed amplified copy the acquisition locks
 onto, and the earlier authentic frame the adversary tried to cancel) and
 counts the runs where the receiver ends up accepting only the delayed copy.
 
-The attack game builds its frames with channel.superpose, as the session
-pipeline's timelines and replays do. The attack and noise games accept
-candidates by receiver.pass_ratios, as backtracking does; the noise game
-draws each frame's aggregate first and its slot split only inside the
-energy window, and the evade game scores the receiver's Floyd picks.
+The attack game builds its frames with channel.superpose, as timelines and
+replays do. The attack and noise games accept candidates by
+receiver.pass_ratios, as backtracking does; the noise game draws each
+frame's aggregate first and its slot split only inside the energy window.
+The evade game scores the receiver's Floyd picks, one doubling coin each.
 The simulated code occupies the first alpha slots. It is uniform and
 independent of injections, signs and noise, so every slot is exchangeable
 and a fixed bin split has the same distribution as a secret one.
@@ -111,24 +111,24 @@ def _evade_successes(cfg: TrialConfig, k: int) -> int:
 
     The empty bin wins when its sample sum strictly exceeds the pulse bin's.
     The game scores the receiver's Floyd picks, drawn as vote() draws them
-    with the bins swapped and upsilon 1, and x as in _attack_successes.
+    with the bins swapped and upsilon 1, and x as in _attack_successes. Pick
+    i reads its row's doubling coin i: the picks are distinct slots, whose
+    coins are i.i.d. fair. So no chunk array grows with alpha or beta.
     """
-    alpha, beta = cfg.params.alpha, cfg.params.beta
-    r = cfg.receiver.r
+    alpha, beta, r = cfg.params.alpha, cfg.params.beta, cfg.receiver.r
     step = max(1, receiver.VOTE_BLOCK // r)
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
         x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
         # struck pulse picks (t < x) score 4 or 0, half each; others and empty t < k - x score 1
-        doubled = (rng.random((m, alpha)) >= 0.5).ravel()
+        doubled = rng.random((m, r)) >= 0.5
         for lo in range(0, m, step):
             hit = x[lo:lo + step]
-            cells = (np.arange(lo, lo + len(hit)) * alpha)[:, None]
             empty = sum(t < k - hit for t in receiver._floyd_picks(beta, r, len(hit), 1, rng))
             struck = doubles = 0
-            for t in receiver._floyd_picks(alpha, r, len(hit), 1, rng):
+            for i, t in enumerate(receiver._floyd_picks(alpha, r, len(hit), 1, rng)):
                 struck += t < hit
-                doubles += (t < hit) & doubled[t + cells]
+                doubles += (t < hit) & doubled[lo:lo + step, i:i + 1]
             successes += int(np.count_nonzero(empty > r - struck + 4 * doubles))
     return successes
 

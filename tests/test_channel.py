@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uwblab.adversary import AttackPlan, plan_attack, replay_frame
-from uwblab.channel import (LinkModel, adversary_room, adversary_rx_power,
+from uwblab.channel import (FrameTimeline, LinkModel, adversary_room, adversary_rx_power,
                             expected_rx_power, path_loss_db, power_ratio,
                             signal_to_csv, superpose, synthesize_timeline,
                             unity_link, worst_case_rx_power)
@@ -197,6 +197,20 @@ def test_lattice_refuses_reads_outside_the_record():
     assert replay_frame(tl, 40.0, 6.0).lock_bin == 30
     with pytest.raises(ValueError, match="too short"):
         replay_frame(tl, 42.0, 6.0)
+
+
+def test_timeline_leaves_the_callers_array_writeable():
+    # the timeline holds a read-only view of the array it is given, not a copy
+    params = CodeParams(n=6, alpha=2, beta=4, ts_ns=100.0, tp_ns=2.0, r=1)
+    code = generate_code(params, seed=3)
+    amps = np.zeros(20 + 6 * params.stride)
+    tl = FrameTimeline(amplitudes=amps, start_bin=20, lock_bin=20, code=code, link=unity_link())
+    amps[20] = 1.0
+    assert tl.amplitudes[20] == 1.0 and np.shares_memory(tl.amplitudes, amps)
+    with pytest.raises(ValueError, match="read-only"):
+        tl.amplitudes[20] = 2.0
+    replayed = replay_frame(tl, 20.0, 6.0)
+    assert amps.flags.writeable and not replayed.amplitudes.flags.writeable
 
 
 def test_signal_csv_schema():

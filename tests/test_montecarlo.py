@@ -1,5 +1,6 @@
 """Trial harness: seeding, interval math, agreement with the closed forms."""
 
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -132,7 +133,37 @@ def test_evade_matches_analytic_within_4se():
 
 
 def reference_evade_successes(cfg, k):
-    """The energy-row game: both bins' rows built, then one vote with the bins swapped."""
+    """The energy-row game on the same draws: both bins' rows built, then one vote.
+
+    The vote swaps the bins, so per block of rows it draws the empty bin's
+    picks and then the pulse bin's. A copy of the generator peeks those
+    picks, and coin i of a row is laid as 4 or 0 on the slot of its pulse
+    pick i where that slot is struck; unstruck pulse slots and struck empty
+    slots score 1, and the struck pulse slots no pick reads stay 0.
+    """
+    alpha, beta, r = cfg.params.alpha, cfg.params.beta, cfg.receiver.r
+    step = max(1, receiver.VOTE_BLOCK // r)
+    successes = 0
+    for rng, m in montecarlo._chunks(cfg.base_seed, k, cfg.trials):
+        x = rng.hypergeometric(alpha, beta, k, size=m)[:, None]
+        coins = rng.random((m, r)) >= 0.5
+        e_alpha = (np.arange(alpha) >= x).astype(np.float64)
+        peek = copy.deepcopy(rng)
+        for lo in range(0, m, step):
+            hi = min(m, lo + step)
+            rows = np.arange(lo, hi)[:, None]
+            for _ in receiver._floyd_picks(beta, r, hi - lo, 1, peek):
+                pass
+            for i, t in enumerate(receiver._floyd_picks(alpha, r, hi - lo, 1, peek)):
+                struck = t < x[lo:hi]
+                e_alpha[rows[struck], t[struck]] = 4.0 * coins[lo:hi, i:i + 1][struck]
+        e_beta = (np.arange(beta) < k - x).astype(np.float64)
+        successes += int(vote(e_beta, e_alpha, r, 1, rng).sum())
+    return successes
+
+
+def slot_coin_evade_successes(cfg, k):
+    """The energy-row game with a doubling coin on every pulse slot, read or not."""
     alpha, beta = cfg.params.alpha, cfg.params.beta
     successes = 0
     for rng, m in montecarlo._chunks(cfg.base_seed, k, cfg.trials):
@@ -187,21 +218,56 @@ def test_evade_rejects_sample_larger_than_a_bin(alpha, beta):
         run_grid(cfg)
 
 
+def evade_chunk_peak(alpha, beta, k):
+    """tracemalloc peak of one 4,096-trial evade chunk at r 8."""
+    cfg = TrialConfig(params=CodeParams(n=alpha + beta, alpha=alpha, beta=beta, r=8),
+                      k_grid=(k,), trials=CHUNK, receiver=ReceiverConfig(r=8))
+    tracemalloc.start()
+    try:
+        run_grid(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_evade_memory_flat_in_beta():
     # one chunk's peak must not grow with the empty bin: at beta 550 the
     # energy rows of the whole chunk took 18 MB
-    def peak(beta, k):
-        cfg = TrialConfig(params=CodeParams(n=50 + beta, alpha=50, beta=beta, r=8),
-                          k_grid=(k,), trials=CHUNK, receiver=ReceiverConfig(r=8))
-        tracemalloc.start()
-        try:
-            run_grid(cfg)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    evade_chunk_peak(50, 50, 50)  # the first call's one-off allocations
+    assert evade_chunk_peak(50, 550, 300) <= 1.25 * evade_chunk_peak(50, 50, 50)
 
-    peak(50, 50)  # the first call's one-off allocations
-    assert peak(550, 300) <= 1.25 * peak(50, 50)
+
+def test_evade_memory_flat_in_alpha():
+    # nor with the pulse bin: a doubling coin on every pulse slot of the
+    # chunk took 19 MB at alpha 550
+    evade_chunk_peak(50, 50, 50)  # the first call's one-off allocations
+    assert evade_chunk_peak(550, 50, 300) <= 1.25 * evade_chunk_peak(50, 50, 50)
+
+
+@pytest.mark.parametrize("alpha, beta, r, k", [
+    (7, 9, 4, 8), (12, 12, 3, 15), (5, 20, 2, 12), (10, 10, 10, 12),
+])
+def test_evade_matches_slot_coin_game(alpha, beta, r, k):
+    # coins drawn per pick play the game with a coin on every pulse slot in
+    # law: two-proportion z at 2e5 trials a side, on seeds of their own
+    trials = 2 * 10**5
+    cfg = dataclasses.replace(_evade_config(alpha, beta, r, trials, 41), k_grid=(k,))
+    ours = montecarlo._evade_successes(cfg, k)
+    ref = slot_coin_evade_successes(dataclasses.replace(cfg, base_seed=42), k)
+    pooled = (ours + ref) / (2 * trials)
+    assert 1000 < ref < trials - 1000
+    assert abs(ours - ref) / trials < 4 * math.sqrt(pooled * (1 - pooled) * 2 / trials)
+
+
+@pytest.mark.parametrize("alpha, beta, r", [(4, 6, 4), (6, 6, 6), (5, 5, 1), (3, 8, 1)])
+def test_evade_matches_exact_law_when_every_coin_or_one_is_read(alpha, beta, r):
+    # at r = alpha every pulse slot is picked and every coin read; at r = 1
+    # one is. Every k against the exact closed form, within 4 standard
+    # errors; a p of exactly 0 or 1 must be met exactly
+    cfg = _evade_config(alpha, beta, r, 10**5, 43)
+    for row in run_grid(cfg):
+        p = float(prob_evade_rcv(alpha, beta, r, row.k, exact=True))
+        assert abs(row.p_hat - p) <= 4 * math.sqrt(p * (1 - p) / row.trials)
 
 
 def test_false_positive_silent_noise_never_passes_gate():
@@ -314,9 +380,9 @@ PIN_TRIALS = 2 * CHUNK + 17
 
 
 @pytest.mark.parametrize("r, expected", [
-    (1, [0, 82, 495, 1620, 4150]),
-    (2, [0, 22, 364, 1524, 2052]),
-    (8, [0, 0, 12, 262, 301]),
+    (1, [0, 65, 529, 1644, 4100]),
+    (2, [0, 14, 405, 1472, 2048]),
+    (8, [0, 0, 6, 319, 322]),
 ])
 def test_stream_pin_evade(r, expected):
     cfg = TrialConfig(params=CodeParams(n=30, alpha=10, beta=20, r=2),
