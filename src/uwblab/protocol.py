@@ -25,7 +25,8 @@ from .receiver import (
     VERDICT_ATTACK,
     DetectionOutcome,
     ReceiverConfig,
-    backtrack_detect,
+    backtrack_detect,  # noqa: F401 -- kept on protocol, where bench/ probes look it up
+    backtrack_frames,
 )
 
 PHASE_IDLE = "idle"
@@ -132,10 +133,11 @@ def run_session(
     the attack. Honest runs end verified with commit and verify times equal.
 
     One generator, default_rng(seed), draws both codes, the attack plan
-    (under attack with k > 0), both frames' noise and only then both
-    frames' votes, so the number of votes cast never moves a frame. A
-    frame records only the backtracking window before each slot and the
-    replay delay after it, so no noise is drawn where nothing reads it.
+    (under attack with k > 0), both frames' noise and only then one vote
+    over both frames (one backtrack_frames batch, challenge first), so the
+    number of votes cast never moves a frame. A frame records only the
+    backtracking window before each slot and the replay delay after it, so
+    no noise is drawn where nothing reads it.
     """
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
@@ -155,11 +157,9 @@ def run_session(
     if attacked:
         frames[1] = replay_frame(frames[1], replay_delay_ns, replay_gain_db)
 
-    outcomes = []
-    for name, code, timeline in zip(("challenge", "response"), codes, frames):
-        outcomes.append(backtrack_detect(timeline, code, link, receiver,
-                                         d_committed_m=d_committed, rng=rng))
-        state._log(f"frame {name}: {outcomes[-1].verdict}")
+    outcomes = backtrack_frames(frames, codes, link, receiver, d_committed_m=d_committed, rng=rng)
+    for name, outcome in zip(("challenge", "response"), outcomes):
+        state._log(f"frame {name}: {outcome.verdict}")
     rejected = [o for o in outcomes if o.verdict != VERDICT_ACCEPTED]
     if rejected:
         verification_phase(state, rejected[0])

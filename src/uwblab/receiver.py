@@ -246,60 +246,73 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
     return ratios
 
 
-def backtrack_detect(
-    timeline: FrameTimeline,
-    code: VerificationCode,
-    link: LinkModel,
-    cfg: ReceiverConfig,
-    d_committed_m: float | None = None,
-    *,
-    rng,
-) -> DetectionOutcome:
-    """Scan earlier frame alignments for a hidden authentic copy.
+def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
+                     d_committed_m: float | None = None, *, rng) -> list:
+    """Scan earlier alignments of a batch of frames for hidden authentic copies.
 
-    Starting from the acquisition lock, candidate frame starts step earlier
-    one bin (tp_ns) at a time: int(backtrack_window_ns / tp_ns) + 1 of them,
-    at most stride (a replay trails by less than one slot spacing, and a
-    start a whole spacing back reads the code shifted by whole slots), and
-    only down to bin 0, lead_ns before the authentic frame, where the
-    record stops (a slice of timeline.rows). Any candidate whose
-    aggregate exceeds the ceiling aborts the scan as an attack; candidates
-    below the noise floor are skipped; the rest take the code vote. Among
-    accepted candidates the earliest time of arrival wins, since a replayed
-    copy can only ever trail the authentic one. rng is pass_ratios' generator.
+    One DetectionOutcome per frame; the codes share one geometry. In each
+    frame, starting from its acquisition lock, candidate frame starts step
+    earlier one bin (tp_ns) at a time: int(backtrack_window_ns / tp_ns) + 1
+    of them, at most stride (a replay trails by less than one slot spacing,
+    and a start a whole spacing back reads the code shifted by whole slots),
+    and only down to bin 0, lead_ns before the authentic frame, where the
+    record stops (a slice of timeline.rows). Any candidate whose aggregate
+    exceeds the ceiling aborts that frame's scan as an attack; candidates
+    below the noise floor are skipped; the rest take the code vote. Among a
+    frame's accepted candidates the earliest time of arrival wins, since a
+    replayed copy can only ever trail the authentic one. The thresholds and
+    the energy gate are computed once, and one pass_ratios call on rng votes
+    every frame's candidates, in frame order and then scan order.
     """
-    params = code.params
+    params = codes[0].params
+    if any(code.params != params for code in codes):
+        raise ValueError("frames of one batch must share a code geometry")
     if d_committed_m is None:
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
 
-    n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
-    lock, rows = timeline.lock_bin, timeline.rows
-    if not 0 <= lock < rows.shape[1]:
-        raise ValueError("timeline does not reach the acquisition lock")
-    starts = np.arange(lock, -1, -1)[: n_steps + 1]
+    scans, parts = [], []
+    for timeline, code in zip(timelines, codes, strict=True):
+        n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
+        lock, rows = timeline.lock_bin, timeline.rows
+        if not 0 <= lock < rows.shape[1]:
+            raise ValueError("timeline does not reach the acquisition lock")
+        starts = np.arange(lock, -1, -1)[: n_steps + 1]
+        energies = np.square(rows[:, starts[-1]:lock + 1].T[::-1], order="C")
+        aggregates = energies.sum(axis=1)
+        # the scan aborts at the first over-ceiling candidate, in scan order
+        hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
+        scanned = int(hot[0]) + 1 if len(hot) else len(starts)
+        # pulse bin first: every frame's bins are then the same two column slices
+        parts.append(energies[:scanned, np.concatenate(bins(code))])
+        scans.append((starts[:scanned] * timeline.tp_ns, aggregates[:scanned], len(hot) > 0))
+    ratios = pass_ratios(np.concatenate(parts), slice(params.alpha), slice(params.alpha, None),
+                         thresholds, cfg, rng, aggregates=np.concatenate([s[1] for s in scans]))
 
-    energies = np.square(rows[:, starts[-1]:lock + 1].T[::-1], order="C")
-    aggregates = energies.sum(axis=1)
-    toas = starts * timeline.tp_ns
+    outcomes, lo = [], 0
+    for toas, aggregates, hot in scans:
+        frame_ratios, lo = ratios[lo:lo + len(toas)], lo + len(toas)
+        diag = dict(candidate_toas_ns=tuple(toas.tolist()), aggregates=tuple(aggregates.tolist()),
+                    pass_ratios=tuple(frame_ratios.tolist()))
+        accepted = toas[frame_ratios > cfg.p_noise_threshold]
+        if hot:
+            outcomes.append(DetectionOutcome(verdict=VERDICT_ATTACK, reason=REASON_ENERGY, **diag))
+        elif len(accepted) == 0:
+            outcomes.append(DetectionOutcome(verdict=VERDICT_NO_CODE, **diag))
+        else:
+            outcomes.append(DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(accepted.min()),
+                                             **diag))
+    return outcomes
 
-    # the scan aborts at the first over-ceiling candidate, in scan order
-    hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
-    scanned = int(hot[0]) + 1 if len(hot) else len(starts)
-    ratios = pass_ratios(energies[:scanned], *bins(code), thresholds, cfg, rng,
-                         aggregates=aggregates[:scanned])
 
-    diag = dict(
-        candidate_toas_ns=tuple(toas[:scanned].tolist()),
-        aggregates=tuple(aggregates[:scanned].tolist()),
-        pass_ratios=tuple(ratios.tolist()),
-    )
-    if len(hot):
-        return DetectionOutcome(verdict=VERDICT_ATTACK, reason=REASON_ENERGY, **diag)
-    accepted = toas[:scanned][ratios > cfg.p_noise_threshold]
-    if len(accepted) == 0:
-        return DetectionOutcome(verdict=VERDICT_NO_CODE, **diag)
-    return DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(accepted.min()), **diag)
+def backtrack_detect(timeline: FrameTimeline, code: VerificationCode, link: LinkModel,
+                     cfg: ReceiverConfig, d_committed_m: float | None = None, *,
+                     rng) -> DetectionOutcome:
+    """Scan earlier alignments of one frame for a hidden authentic copy.
+
+    backtrack_frames on a batch of one; rng is pass_ratios' generator.
+    """
+    return backtrack_frames([timeline], [code], link, cfg, d_committed_m, rng=rng)[0]
 
 
 def outcome_to_csv(outcome: DetectionOutcome) -> str:

@@ -29,6 +29,7 @@ from uwblab.receiver import (
     DetectionOutcome,
     ReceiverConfig,
     backtrack_detect,
+    backtrack_frames,
     outcome_to_csv,
 )
 
@@ -176,66 +177,66 @@ PIN_RESPONSE_CSV = {
               + "".join("%d,0,0\n" % t for t in range(218, -1, -2)),
     "replay_k0": CSV_HEAD + """\
 420,8.06232913065e-08,1
-418,1.57808400337e-09,0.44
+418,1.57808400337e-09,0.28
 416,6.28995422351e-10,nan
 414,6.27878760756e-10,nan
-412,1.33653723279e-09,0.76
+412,1.33653723279e-09,0.92
 410,8.45038815818e-10,nan
-408,1.78243321601e-09,0.84
-406,1.03544757892e-09,0.8
+408,1.78243321601e-09,0.76
+406,1.03544757892e-09,0.84
 404,7.86838599737e-10,nan
-402,9.33848968446e-10,0.2
-400,9.46594890601e-10,0.36
+402,9.33848968446e-10,0.12
+400,9.46594890601e-10,0.52
 398,6.85248420175e-10,nan
-396,9.59630729993e-10,0.84
+396,9.59630729993e-10,0.92
 394,7.78887775471e-10,nan
 392,8.1872329185e-10,nan
-390,1.03230596795e-09,0.88
+390,1.03230596795e-09,0.8
 388,8.01552902343e-10,nan
 386,8.74490646425e-10,nan
-384,1.06916236064e-09,0.52
-382,1.04009595034e-09,0.72
-380,1.14311707131e-09,0.56
-378,9.47274457705e-10,0.72
+384,1.06916236064e-09,0.6
+382,1.04009595034e-09,0.6
+380,1.14311707131e-09,0.68
+378,9.47274457705e-10,0.52
 376,9.60042731455e-10,0.44
 374,5.41697656646e-10,nan
-372,1.02463950865e-09,0.56
+372,1.02463950865e-09,0.4
 370,9.67687180388e-10,0.32
 368,7.73256450773e-10,nan
-366,1.20269798232e-09,0.68
-364,1.1098116396e-09,0.56
-362,9.53317982924e-10,0.6
+366,1.20269798232e-09,0.64
+364,1.1098116396e-09,0.6
+362,9.53317982924e-10,0.72
 360,5.80266289314e-10,nan
-358,1.55949753673e-09,0.68
+358,1.55949753673e-09,0.8
 356,5.75969315233e-10,nan
-354,1.06829955154e-09,0.52
-352,9.98158852011e-10,0.2
-350,1.09474477784e-09,0.56
+354,1.06829955154e-09,0.76
+352,9.98158852011e-10,0.4
+350,1.09474477784e-09,0.52
 348,4.6055162268e-10,nan
 346,1.97566155451e-09,0.36
-344,1.23022163961e-09,0.28
+344,1.23022163961e-09,0.36
 342,9.06812932436e-10,nan
 340,6.85201594534e-10,nan
 338,7.06120935699e-10,nan
 336,1.57205567437e-09,0.72
 334,5.6693907594e-10,nan
 332,8.53197377026e-10,nan
-330,1.49900513381e-09,0.52
+330,1.49900513381e-09,0.48
 328,4.10325919718e-10,nan
-326,1.84785825113e-09,0.28
+326,1.84785825113e-09,0.24
 324,8.21479211427e-10,nan
-322,1.08853120989e-09,0.36
-320,1.04561851642e-09,0.84
-318,9.39607644401e-10,0.32
-316,9.16441246401e-10,0.84
-314,1.02282747663e-09,0.44
+322,1.08853120989e-09,0.24
+320,1.04561851642e-09,0.8
+318,9.39607644401e-10,0.36
+316,9.16441246401e-10,1
+314,1.02282747663e-09,0.48
 312,6.05616190132e-10,nan
-310,1.24130083644e-09,0.68
+310,1.24130083644e-09,0.72
 308,1.17585354502e-09,0.8
 306,6.89755070105e-10,nan
 304,6.52970211292e-10,nan
-302,1.22495994306e-09,0.68
-300,1.01846735138e-09,0.12
+302,1.22495994306e-09,0.64
+300,1.01846735138e-09,0.08
 298,7.01283005247e-10,nan
 296,6.98007789314e-10,nan
 294,6.79508453474e-10,nan
@@ -245,46 +246,46 @@ PIN_RESPONSE_CSV = {
 286,3.67782959447e-10,nan
 284,2.38991378174e-10,nan
 282,4.76280586338e-10,nan
-280,1.20695159774e-09,0.36
+280,1.20695159774e-09,0.28
 278,6.86406280222e-10,nan
 276,6.2949188999e-10,nan
 274,5.6294047493e-10,nan
 272,4.65499137008e-10,nan
-270,1.13040263062e-09,0.68
+270,1.13040263062e-09,0.36
 268,6.31726468133e-10,nan
 266,7.64098409292e-10,nan
 264,3.83580343273e-10,nan
 262,7.92220215125e-10,nan
 260,7.51052894213e-10,nan
-258,1.53083907599e-09,0.84
-256,1.08063612599e-09,0.76
-254,9.21550023758e-10,0.56
+258,1.53083907599e-09,0.8
+256,1.08063612599e-09,0.68
+254,9.21550023758e-10,0.4
 252,8.42479217394e-10,nan
-250,9.69135868819e-10,0.52
-248,1.67935160256e-09,0.2
+250,9.69135868819e-10,0.6
+248,1.67935160256e-09,0.28
 246,6.75762180015e-10,nan
 244,6.0173494634e-10,nan
 242,6.57759204468e-10,nan
 240,1.06912518606e-09,0.56
 238,6.73400540992e-10,nan
 236,8.36523318546e-10,nan
-234,9.15690137032e-10,0.28
+234,9.15690137032e-10,0.4
 232,3.05169631927e-10,nan
-230,9.8211679084e-10,0.76
+230,9.8211679084e-10,0.68
 228,7.40383248124e-10,nan
-226,1.17268520243e-09,0.24
-224,1.74965913433e-09,0.36
-222,9.90544852505e-10,0.52
+226,1.17268520243e-09,0.36
+224,1.74965913433e-09,0.44
+222,9.90544852505e-10,0.68
 220,2.36011036288e-08,1
 218,1.53665295078e-09,0.88
 216,4.29780680376e-10,nan
 214,8.99062976247e-10,nan
 212,7.80762457668e-10,nan
-210,1.38312798157e-09,0.36
+210,1.38312798157e-09,0.32
 208,7.83927709237e-10,nan
 206,5.88948978185e-10,nan
-204,1.4299482164e-09,0.52
-202,1.09369750701e-09,0.56
+204,1.4299482164e-09,0.64
+202,1.09369750701e-09,0.52
 200,6.1799354346e-10,nan
 """,
     "replay_k3": CSV_HEAD + "220,2.96917964507e-06,nan\n",
@@ -293,7 +294,7 @@ PIN_RESPONSE_CSV = {
 # over both frames of every session
 PIN_COUNTS = {
     "honest": ({(PHASE_VERIFIED, None): 100}, 5000),
-    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127253),
+    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127513),
     "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 62343),
 }
 
@@ -303,11 +304,12 @@ def frame_calls(monkeypatch):
     """(code slots, DetectionOutcome, timeline) of every frame run_session detects, in order."""
     calls = []
 
-    def capture(timeline, code, *args, **kwargs):
-        calls.append((code.slots, backtrack_detect(timeline, code, *args, **kwargs), timeline))
-        return calls[-1][1]
+    def capture(timelines, codes, *args, **kwargs):
+        outcomes = backtrack_frames(timelines, codes, *args, **kwargs)
+        calls.extend((code.slots, o, tl) for code, o, tl in zip(codes, outcomes, timelines))
+        return outcomes
 
-    monkeypatch.setattr(protocol, "backtrack_detect", capture)
+    monkeypatch.setattr(protocol, "backtrack_frames", capture)
     return calls
 
 
@@ -362,6 +364,34 @@ def test_challenge_code_is_the_seed_code(frame_calls):
         frame_calls.clear()
         run_session(PIN_PARAMS, PIN_NOISY, seed=seed, receiver=RCV)
         assert np.array_equal(frame_calls[0][0], generate_code(PIN_PARAMS, seed).slots)
+
+
+def per_frame_detection(timelines, codes, *args, **kwargs):
+    """The per-frame session detection: backtrack_detect on each frame in turn, on one generator."""
+    return [backtrack_detect(tl, code, *args, **kwargs) for tl, code in zip(timelines, codes)]
+
+
+def test_batched_session_keeps_the_per_frame_law(monkeypatch):
+    # on a noisy honest link with a 20 ns window, where about a third of
+    # sessions verify, sessions that vote both frames as one batch verify at
+    # the rate of sessions that vote each frame on its own (two-proportion
+    # z over disjoint seeds, 2,000 sessions each)
+    link = dataclasses.replace(PIN_NOISY, d1_m=10.0, d2_m=0.0,
+                               sigma_n2=worst_case_rx_power(LinkModel(d1_m=10.0, e_db=-10.0)) / 4)
+    rcv = dataclasses.replace(RCV, backtrack_window_ns=20.0)
+    sessions = 2000
+
+    def verify_rate(first_seed):
+        return sum(run_session(PIN_PARAMS, link, seed=seed, receiver=rcv).phase == PHASE_VERIFIED
+                   for seed in range(first_seed, first_seed + sessions)) / sessions
+
+    batched = verify_rate(0)
+    monkeypatch.setattr(protocol, "backtrack_frames", per_frame_detection)
+    per_frame = verify_rate(10**6)
+    assert 0.2 < per_frame < 0.8
+    pooled = (batched + per_frame) / 2
+    z = (batched - per_frame) / math.sqrt(pooled * (1 - pooled) * 2 / sessions)
+    assert abs(z) < 4, (batched, per_frame)
 
 
 def test_generators_are_drawn_in_place():

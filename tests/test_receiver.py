@@ -15,12 +15,12 @@ from uwblab.adversary import replay_frame
 from uwblab.channel import (FrameTimeline, LinkModel, expected_rx_power,
                             synthesize_timeline, unity_link,
                             worst_case_rx_power)
-from uwblab.codec import CodeParams, code_from_line, generate_code
+from uwblab.codec import CodeParams, bins, code_from_line, generate_code
 from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
                              PLAUSIBILITY_PLAUSIBLE, REASON_ENERGY,
                              VERDICT_ACCEPTED, VERDICT_ATTACK, VERDICT_NO_CODE,
                              ReceiverConfig, Thresholds, attack_plausibility,
-                             backtrack_detect, compute_thresholds,
+                             backtrack_detect, backtrack_frames, compute_thresholds,
                              outcome_to_csv, robust_code_verification,
                              vote)
 
@@ -494,6 +494,89 @@ def test_lattice_and_dense_records_detect_alike():
             for field in ("verdict", "toa_ns", "reason", "candidate_toas_ns", "aggregates"):
                 assert getattr(outs[0], field) == getattr(outs[1], field), field
             assert np.array_equal(outs[0].pass_ratios, outs[1].pass_ratios, equal_nan=True)
+
+
+BATCH_LINK = unity_link(sigma_n2=0.05)
+BATCH_CFG = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
+
+
+def batch_votes(frames, codes, outs, seed):
+    """vote() over the voted candidates of every frame, in frame order and then scan order.
+
+    Each candidate's slot energies are read off its frame's record at the
+    candidate's start; each frame's code splits them into its bins.
+    """
+    e_alpha, e_beta = [], []
+    for tl, code, out in zip(frames, codes, outs):
+        pulse, empty = bins(code)
+        for toa, agg, ratio in zip(out.candidate_toas_ns, out.aggregates, out.pass_ratios):
+            if not math.isnan(ratio) and agg > 0.0:
+                e = tl.amplitudes[tl.slot_bins(round(toa / tl.tp_ns))] ** 2
+                e_alpha.append(e[pulse])
+                e_beta.append(e[empty])
+    assert e_alpha, "no candidate was voted"
+    return vote(np.array(e_alpha), np.array(e_beta), BATCH_CFG.r, BATCH_CFG.upsilon,
+                np.random.default_rng(seed)) / BATCH_CFG.upsilon
+
+
+def voted_ratios(outs):
+    return [x for out in outs for x, agg in zip(out.pass_ratios, out.aggregates)
+            if not math.isnan(x) and agg > 0.0]
+
+
+def test_batch_votes_frames_in_order():
+    # three frames of different codes, the last replayed: one vote() call
+    # takes the voted candidates of the first frame, then the second, then
+    # the third, each in scan order, on the caller's generator; scans and
+    # aggregates are each frame's own
+    params = small_params()
+    for seed in range(4):
+        codes = [generate_code(params, seed=10 * seed + i) for i in range(3)]
+        frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=10 * seed + i, lead_ns=40.0,
+                                      tail_ns=60.0) for i, code in enumerate(codes)]
+        frames[2] = replay_frame(frames[2], 20.0, 0.0)
+        outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+                                rng=np.random.default_rng(seed))
+        assert len(outs) == 3
+        for tl, code, out in zip(frames, codes, outs):
+            alone = backtrack_detect(tl, code, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+                                     rng=np.random.default_rng(seed))
+            assert (out.candidate_toas_ns, out.aggregates) == (alone.candidate_toas_ns,
+                                                               alone.aggregates)
+        assert voted_ratios(outs) == batch_votes(frames, codes, outs, seed).tolist()
+
+
+def test_batch_ceiling_abort_is_per_frame():
+    # the first frame crosses the ceiling at candidate j: it ends as an
+    # attack after j + 1 candidates, its first j still voted, and the second
+    # frame is scanned and voted in full after them
+    params = small_params()
+    codes = [generate_code(params, seed=i) for i in range(2)]
+    frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=i, lead_ns=40.0, tail_ns=60.0)
+              for i, code in enumerate(codes)]
+    j = 5
+    amps = frames[0].amplitudes.copy()
+    amps[frames[0].slot_bins(frames[0].lock_bin - j)] += 3.0
+    frames[0] = dataclasses.replace(frames[0], amplitudes=amps)
+    outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+                            rng=np.random.default_rng(7))
+    assert outs[0].verdict == VERDICT_ATTACK and outs[0].reason == REASON_ENERGY
+    assert len(outs[0].candidate_toas_ns) == j + 1 and math.isnan(outs[0].pass_ratios[j])
+    assert len(outs[1].candidate_toas_ns) == int(40.0 / params.tp_ns) + 1
+    assert outs[1].verdict != VERDICT_ATTACK
+    assert voted_ratios(outs[:1]) and voted_ratios(outs[1:])
+    assert voted_ratios(outs) == batch_votes(frames, codes, outs, 7).tolist()
+
+
+def test_batch_needs_one_code_geometry_and_a_code_per_frame():
+    codes = [generate_code(small_params(), seed=0),
+             generate_code(CodeParams(n=12, alpha=5, beta=7, ts_ns=100.0, tp_ns=2.0, r=2), seed=0)]
+    frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=0, lead_ns=40.0) for code in codes]
+    with pytest.raises(ValueError, match="geometry"):
+        backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, rng=np.random.default_rng(0))
+    # one code per frame: a frame without its code is refused, not dropped
+    with pytest.raises(ValueError):
+        backtrack_frames(frames, codes[:1], BATCH_LINK, BATCH_CFG, rng=np.random.default_rng(0))
 
 
 def test_outcome_csv_schema():
