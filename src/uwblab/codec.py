@@ -60,14 +60,14 @@ def _unit_slots(values, name: str) -> np.ndarray:
 def _draw_slots(n: int, count: int, seed) -> np.ndarray:
     """int8 n-vector of count distinct uniform slots at independent uniform signs.
 
-    The one draw of codes and attack plans: the positions, then the signs,
-    from default_rng(seed). An int seeds a fresh generator; a Generator is
-    drawn from in place.
+    The one draw of codes and plans, from default_rng(seed): the head of one
+    permutation, then +1 where random() < 0.5, a fair coin as random() is
+    k * 2**-53. An int seeds a fresh generator; a Generator is drawn in place.
     """
     rng = np.random.default_rng(seed)
-    at = rng.choice(n, size=count, replace=False)
+    at = rng.permutation(n)[:count]
     slots = np.zeros(n, dtype=np.int8)
-    signs = rng.integers(0, 2, size=count).astype(np.int8)
+    signs = (rng.random(count) < 0.5).astype(np.int8)
     slots[at] = 2 * signs - 1  # in int8: an int64 product cast on assignment is slower
     return slots
 
@@ -90,9 +90,9 @@ class VerificationCode:
 
 
 def generate_code(params: CodeParams, seed) -> VerificationCode:
-    """Draw a fresh code: uniform alpha-subset of slots, independent signs.
+    """Draw a fresh code: uniform alpha-subset of slots, independent fair signs.
 
-    seed is an int or a Generator, which the draw advances in place. The
+    seed is an int or a Generator, which _draw_slots advances in place. The
     same (params, int seed) always reproduces the same code, and the same
     slot vector as plan_attack(params, params.alpha, seed).phases.
     """

@@ -135,9 +135,9 @@ def run_session(
     One generator, default_rng(seed), draws both codes, the attack plan
     (under attack with k > 0), both frames' noise and only then one vote
     over both frames (one backtrack_frames batch, challenge first), so the
-    number of votes cast never moves a frame. A frame records only the
-    backtracking window before each slot and the replay delay after it, so
-    no noise is drawn where nothing reads it.
+    number of votes cast never moves a frame. A frame records only what
+    backtracking reads, so no noise is drawn where nothing reads it; the
+    session reads only each outcome's verdict and time of arrival.
     """
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))

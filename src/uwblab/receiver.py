@@ -78,23 +78,29 @@ class Thresholds:
             raise ValueError("need 0 <= gamma_lower < gamma_upper")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionOutcome:
     """Backtracking result plus per-candidate diagnostics.
 
     verdict is one of VERDICT_*; toa_ns is set only for an accepted code and
     names the earliest accepted candidate. Diagnostics run in scan order
-    (acquisition lock first, then progressively earlier) as tuples of Python
-    floats; pass_ratios holds nan where the vote never ran (noise-gated or
+    (acquisition lock first, then progressively earlier) as read-only float64
+    vectors; pass_ratios holds nan where the vote never ran (noise-gated or
     energy-exceeded candidates).
     """
 
     verdict: str
     toa_ns: float | None = None
     reason: str | None = None
-    candidate_toas_ns: tuple = ()
-    aggregates: tuple = ()
-    pass_ratios: tuple = ()
+    candidate_toas_ns: np.ndarray = ()
+    aggregates: np.ndarray = ()
+    pass_ratios: np.ndarray = ()
+
+    def __post_init__(self):
+        for name in ("candidate_toas_ns", "aggregates", "pass_ratios"):
+            values = np.asarray(getattr(self, name), dtype=np.float64).view()
+            values.setflags(write=False)  # a view: the caller's array stays writeable
+            object.__setattr__(self, name, values)
 
 
 def compute_thresholds(link: LinkModel, params: CodeParams, d_committed_m: float) -> Thresholds:
@@ -117,16 +123,14 @@ def compute_thresholds(link: LinkModel, params: CodeParams, d_committed_m: float
 def attack_plausibility(energies, thresholds: Thresholds) -> str:
     """Classify a candidate frame by its aggregate energy.
 
-    Below the noise floor there is nothing there; above the ceiling someone
-    added energy. Both boundaries are exclusive: sitting exactly on either
-    threshold still counts as plausible.
+    Plausible inside _in_window's energy gate, both thresholds included;
+    above the ceiling someone added energy; anything else, below the floor
+    or nan, is noise, which pass_ratios gates out too.
     """
     agg = float(np.sum(energies))
-    if agg < thresholds.gamma_lower:
-        return PLAUSIBILITY_NOISE
-    if agg > thresholds.gamma_upper:
-        return PLAUSIBILITY_ENERGY_EXCEEDED
-    return PLAUSIBILITY_PLAUSIBLE
+    if _in_window(agg, thresholds):
+        return PLAUSIBILITY_PLAUSIBLE
+    return PLAUSIBILITY_ENERGY_EXCEEDED if agg > thresholds.gamma_upper else PLAUSIBILITY_NOISE
 
 
 def robust_code_verification(
@@ -262,7 +266,8 @@ def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
     frame's accepted candidates the earliest time of arrival wins, since a
     replayed copy can only ever trail the authentic one. The thresholds and
     the energy gate are computed once, and one pass_ratios call on rng votes
-    every frame's candidates, in frame order and then scan order.
+    every frame's candidates, in frame order and then scan order. Each
+    outcome's diagnostics are that frame's slices of the scan, not copies.
     """
     params = codes[0].params
     if any(code.params != params for code in codes):
@@ -292,16 +297,11 @@ def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
     outcomes, lo = [], 0
     for toas, aggregates, hot in scans:
         frame_ratios, lo = ratios[lo:lo + len(toas)], lo + len(toas)
-        diag = dict(candidate_toas_ns=tuple(toas.tolist()), aggregates=tuple(aggregates.tolist()),
-                    pass_ratios=tuple(frame_ratios.tolist()))
         accepted = toas[frame_ratios > cfg.p_noise_threshold]
-        if hot:
-            outcomes.append(DetectionOutcome(verdict=VERDICT_ATTACK, reason=REASON_ENERGY, **diag))
-        elif len(accepted) == 0:
-            outcomes.append(DetectionOutcome(verdict=VERDICT_NO_CODE, **diag))
-        else:
-            outcomes.append(DetectionOutcome(verdict=VERDICT_ACCEPTED, toa_ns=float(accepted.min()),
-                                             **diag))
+        verdict = VERDICT_ATTACK if hot else VERDICT_ACCEPTED if len(accepted) else VERDICT_NO_CODE
+        toa = float(accepted.min()) if verdict == VERDICT_ACCEPTED else None
+        outcomes.append(DetectionOutcome(verdict, toa, REASON_ENERGY if hot else None,
+                                         toas, aggregates, frame_ratios))
     return outcomes
 
 

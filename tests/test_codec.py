@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from uwblab.adversary import plan_attack
 from uwblab.codec import (CodeParams, VerificationCode, bins, code_from_line,
                           code_to_line, generate_code)
 
 FIG_SENT = "0,-1,0,0,0,-1,1,0,0,0,0,0,1,0,-1,0,0,0"
+PIN_PARAMS = CodeParams(n=12, alpha=4, beta=8, r=2)  # C11's geometry, as in the session pin
+CHI2_23_TAIL_1E6 = 70.55  # P(chi-square with 23 degrees of freedom > 70.55) = 1e-6
 
 
 def test_params_validation():
@@ -70,6 +73,31 @@ def test_position_uniformity():
     assert len(counts) == 6
     for pair, cnt in counts.items():
         assert abs(cnt / trials - 1 / 6) < 0.01, pair
+
+
+def test_subset_and_signs_are_jointly_uniform():
+    # at n 4, alpha 2 a code is one of 6 pulse subsets times 4 sign
+    # patterns, and each of the 24 cells comes up equally often: chi-square
+    # over 24,000 codes drawn in place from one generator
+    params = CodeParams(n=4, alpha=2, beta=2, r=1)
+    rng = np.random.default_rng(2024)
+    draws = 24000
+    counts = {}
+    for _ in range(draws):
+        cell = tuple(generate_code(params, rng).slots.tolist())
+        counts[cell] = counts.get(cell, 0) + 1
+    assert len(counts) == 24
+    expected = draws / 24
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_23_TAIL_1E6, chi2
+
+
+def test_code_and_plan_draw_pin():
+    # the one draw of codes and plans at the session pin's geometry and
+    # seed; a change that moves it must update these and say so in CHANGES.md
+    assert generate_code(PIN_PARAMS, 7).slots.tolist() == [1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1, 0]
+    assert plan_attack(PIN_PARAMS, 3, seed=7).phases.tolist() == [0, 0, 0, 0, -1, 0, -1, 0, 0,
+                                                                  0, 1, 0]
 
 
 def test_phase_balance():

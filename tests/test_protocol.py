@@ -167,7 +167,7 @@ PIN_TRACE = {
     "honest": "commit: t_tof=33.3556 ns (d=10.000 m)\nframe challenge: code_accepted\n"
               "frame response: code_accepted\nverify: t_tof=33.3556 ns\nverified\n",
     "replay_k0": "commit: t_tof=300.1334 ns (d=89.980 m)\nframe challenge: code_accepted\n"
-                 "frame response: code_accepted\nverify: t_tof=199.1334 ns\n"
+                 "frame response: code_accepted\nverify: t_tof=200.1334 ns\n"
                  "alarm: tof_mismatch\n",
     "replay_k3": "commit: t_tof=300.1334 ns (d=89.980 m)\nframe challenge: code_accepted\n"
                  "frame response: attack_detected\nalarm: energy_exceeded\n",
@@ -176,126 +176,126 @@ PIN_RESPONSE_CSV = {
     "honest": CSV_HEAD + "220,7.00585299248e-07,1\n"
               + "".join("%d,0,0\n" % t for t in range(218, -1, -2)),
     "replay_k0": CSV_HEAD + """\
-420,8.06232913065e-08,1
-418,1.57808400337e-09,0.28
-416,6.28995422351e-10,nan
-414,6.27878760756e-10,nan
-412,1.33653723279e-09,0.92
-410,8.45038815818e-10,nan
-408,1.78243321601e-09,0.76
-406,1.03544757892e-09,0.84
-404,7.86838599737e-10,nan
-402,9.33848968446e-10,0.12
-400,9.46594890601e-10,0.52
-398,6.85248420175e-10,nan
-396,9.59630729993e-10,0.92
-394,7.78887775471e-10,nan
-392,8.1872329185e-10,nan
-390,1.03230596795e-09,0.8
-388,8.01552902343e-10,nan
-386,8.74490646425e-10,nan
-384,1.06916236064e-09,0.6
-382,1.04009595034e-09,0.6
-380,1.14311707131e-09,0.68
-378,9.47274457705e-10,0.52
-376,9.60042731455e-10,0.44
-374,5.41697656646e-10,nan
-372,1.02463950865e-09,0.4
-370,9.67687180388e-10,0.32
-368,7.73256450773e-10,nan
-366,1.20269798232e-09,0.64
-364,1.1098116396e-09,0.6
-362,9.53317982924e-10,0.72
-360,5.80266289314e-10,nan
-358,1.55949753673e-09,0.8
-356,5.75969315233e-10,nan
-354,1.06829955154e-09,0.76
-352,9.98158852011e-10,0.4
-350,1.09474477784e-09,0.52
-348,4.6055162268e-10,nan
-346,1.97566155451e-09,0.36
-344,1.23022163961e-09,0.36
-342,9.06812932436e-10,nan
-340,6.85201594534e-10,nan
-338,7.06120935699e-10,nan
-336,1.57205567437e-09,0.72
-334,5.6693907594e-10,nan
-332,8.53197377026e-10,nan
-330,1.49900513381e-09,0.48
-328,4.10325919718e-10,nan
-326,1.84785825113e-09,0.24
-324,8.21479211427e-10,nan
-322,1.08853120989e-09,0.24
-320,1.04561851642e-09,0.8
-318,9.39607644401e-10,0.36
-316,9.16441246401e-10,1
-314,1.02282747663e-09,0.48
-312,6.05616190132e-10,nan
-310,1.24130083644e-09,0.72
-308,1.17585354502e-09,0.8
-306,6.89755070105e-10,nan
-304,6.52970211292e-10,nan
-302,1.22495994306e-09,0.64
-300,1.01846735138e-09,0.08
-298,7.01283005247e-10,nan
-296,6.98007789314e-10,nan
-294,6.79508453474e-10,nan
-292,1.02221072434e-09,0.72
-290,1.58051545659e-09,0.52
-288,2.90510301826e-10,nan
-286,3.67782959447e-10,nan
-284,2.38991378174e-10,nan
-282,4.76280586338e-10,nan
-280,1.20695159774e-09,0.28
-278,6.86406280222e-10,nan
-276,6.2949188999e-10,nan
-274,5.6294047493e-10,nan
-272,4.65499137008e-10,nan
-270,1.13040263062e-09,0.36
-268,6.31726468133e-10,nan
-266,7.64098409292e-10,nan
-264,3.83580343273e-10,nan
-262,7.92220215125e-10,nan
-260,7.51052894213e-10,nan
-258,1.53083907599e-09,0.8
-256,1.08063612599e-09,0.68
-254,9.21550023758e-10,0.4
-252,8.42479217394e-10,nan
-250,9.69135868819e-10,0.6
-248,1.67935160256e-09,0.28
-246,6.75762180015e-10,nan
-244,6.0173494634e-10,nan
-242,6.57759204468e-10,nan
-240,1.06912518606e-09,0.56
-238,6.73400540992e-10,nan
-236,8.36523318546e-10,nan
-234,9.15690137032e-10,0.4
-232,3.05169631927e-10,nan
-230,9.8211679084e-10,0.68
-228,7.40383248124e-10,nan
-226,1.17268520243e-09,0.36
-224,1.74965913433e-09,0.44
-222,9.90544852505e-10,0.68
-220,2.36011036288e-08,1
-218,1.53665295078e-09,0.88
-216,4.29780680376e-10,nan
-214,8.99062976247e-10,nan
-212,7.80762457668e-10,nan
-210,1.38312798157e-09,0.32
-208,7.83927709237e-10,nan
-206,5.88948978185e-10,nan
-204,1.4299482164e-09,0.64
-202,1.09369750701e-09,0.52
-200,6.1799354346e-10,nan
+420,7.95198395396e-08,1
+418,4.51348909096e-10,nan
+416,9.33347333773e-10,0.76
+414,6.70740723544e-10,nan
+412,9.90473946747e-10,0.4
+410,4.52512728398e-10,nan
+408,9.34373835723e-10,0.4
+406,3.76892873389e-10,nan
+404,6.54942972635e-10,nan
+402,8.48914170154e-10,nan
+400,1.05138952835e-09,0.44
+398,8.65704025053e-10,nan
+396,1.57808400337e-09,0.44
+394,6.28995422351e-10,nan
+392,6.27878760756e-10,nan
+390,1.33653723279e-09,0.72
+388,8.45038815818e-10,nan
+386,1.78243321601e-09,0.64
+384,1.03544757892e-09,0.16
+382,7.86838599737e-10,nan
+380,9.33848968446e-10,0.4
+378,9.46594890601e-10,0.08
+376,6.85248420175e-10,nan
+374,9.59630729993e-10,0.4
+372,7.78887775471e-10,nan
+370,8.1872329185e-10,nan
+368,1.03230596795e-09,0.4
+366,8.01552902343e-10,nan
+364,8.74490646425e-10,nan
+362,1.06916236064e-09,0.44
+360,1.04009595034e-09,0.52
+358,1.14311707131e-09,0.28
+356,9.47274457705e-10,0.36
+354,9.60042731455e-10,0.44
+352,5.41697656646e-10,nan
+350,1.02463950865e-09,0.68
+348,9.67687180388e-10,0.52
+346,7.73256450773e-10,nan
+344,1.20269798232e-09,0.68
+342,1.1098116396e-09,0.92
+340,9.53317982924e-10,0.36
+338,5.80266289314e-10,nan
+336,1.55949753673e-09,0.44
+334,5.75969315233e-10,nan
+332,1.06829955154e-09,0.36
+330,9.98158852011e-10,0.24
+328,1.09474477784e-09,0.08
+326,4.6055162268e-10,nan
+324,1.97566155451e-09,0.56
+322,1.23022163961e-09,0.92
+320,9.06812932436e-10,nan
+318,6.85201594534e-10,nan
+316,7.06120935699e-10,nan
+314,1.57205567437e-09,0.36
+312,5.6693907594e-10,nan
+310,8.53197377026e-10,nan
+308,1.49900513381e-09,0.2
+306,4.10325919718e-10,nan
+304,1.84785825113e-09,0.88
+302,8.21479211427e-10,nan
+300,1.08853120989e-09,0.16
+298,1.04561851642e-09,0.4
+296,9.39607644401e-10,0.68
+294,9.16441246401e-10,0.56
+292,1.02282747663e-09,0.24
+290,6.05616190132e-10,nan
+288,1.24130083644e-09,0.64
+286,1.17585354502e-09,1
+284,6.89755070105e-10,nan
+282,6.52970211292e-10,nan
+280,1.22495994306e-09,0.8
+278,1.01846735138e-09,0.16
+276,7.01283005247e-10,nan
+274,6.98007789314e-10,nan
+272,6.79508453474e-10,nan
+270,1.02221072434e-09,0.28
+268,1.58051545659e-09,0.52
+266,2.90510301826e-10,nan
+264,3.67782959447e-10,nan
+262,2.38991378174e-10,nan
+260,4.76280586338e-10,nan
+258,1.20695159774e-09,0.2
+256,6.86406280222e-10,nan
+254,6.2949188999e-10,nan
+252,5.6294047493e-10,nan
+250,4.65499137008e-10,nan
+248,1.13040263062e-09,0.32
+246,6.31726468133e-10,nan
+244,7.64098409292e-10,nan
+242,3.83580343273e-10,nan
+240,7.92220215125e-10,nan
+238,7.51052894213e-10,nan
+236,1.53083907599e-09,0.52
+234,1.08063612599e-09,0.48
+232,9.21550023758e-10,0.12
+230,8.42479217394e-10,nan
+228,9.69135868819e-10,0.12
+226,1.67935160256e-09,0.76
+224,6.75762180015e-10,nan
+222,6.0173494634e-10,nan
+220,2.02656024919e-08,1
+218,1.06912518606e-09,0.2
+216,6.73400540992e-10,nan
+214,8.36523318546e-10,nan
+212,9.15690137032e-10,0.64
+210,3.05169631927e-10,nan
+208,9.8211679084e-10,0.36
+206,7.40383248124e-10,nan
+204,1.17268520243e-09,0.28
+202,1.74965913433e-09,0.24
+200,9.90544852505e-10,0.4
 """,
-    "replay_k3": CSV_HEAD + "220,2.96917964507e-06,nan\n",
+    "replay_k3": CSV_HEAD + "220,2.99097478296e-06,nan\n",
 }
 # over seeds 0..99: (phase, alarm reason) counts and the vote passes summed
 # over both frames of every session
 PIN_COUNTS = {
     "honest": ({(PHASE_VERIFIED, None): 100}, 5000),
-    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 127513),
-    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 62343),
+    "replay_k0": ({(PHASE_ALARMED, REASON_TOF): 100}, 128983),
+    "replay_k3": ({(PHASE_ALARMED, REASON_ENERGY): 100}, 63272),
 }
 
 
@@ -346,7 +346,10 @@ def test_frames_are_drawn_before_any_vote(frame_calls, mode):
         _pinned_session(mode, PIN_SEED, frame_calls, dataclasses.replace(RCV, upsilon=upsilon))
         frames.append([(slots.tolist(), o.candidate_toas_ns, o.aggregates)
                        for slots, o, _ in frame_calls])
-    assert len(frames[0]) == 2 and frames[0] == frames[1]
+    assert len(frames[0]) == 2
+    for (slots_a, toas_a, agg_a), (slots_b, toas_b, agg_b) in zip(*frames, strict=True):
+        assert slots_a == slots_b
+        assert np.array_equal(toas_a, toas_b) and np.array_equal(agg_a, agg_b)
 
 
 def test_frames_record_only_what_is_read(frame_calls):

@@ -19,7 +19,7 @@ from uwblab.codec import CodeParams, bins, code_from_line, generate_code
 from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
                              PLAUSIBILITY_PLAUSIBLE, REASON_ENERGY,
                              VERDICT_ACCEPTED, VERDICT_ATTACK, VERDICT_NO_CODE,
-                             ReceiverConfig, Thresholds, attack_plausibility,
+                             DetectionOutcome, ReceiverConfig, Thresholds, attack_plausibility,
                              backtrack_detect, backtrack_frames, compute_thresholds,
                              outcome_to_csv, robust_code_verification,
                              vote)
@@ -83,6 +83,20 @@ def test_plausibility_boundaries():
     assert attack_plausibility([5.0, 5.0], thr) == PLAUSIBILITY_PLAUSIBLE
     assert attack_plausibility([5.0, 6.0], thr) == PLAUSIBILITY_ENERGY_EXCEEDED
     assert attack_plausibility([4.0, 2.0], thr) == PLAUSIBILITY_PLAUSIBLE
+
+
+def test_plausibility_reads_the_energy_gate():
+    # plausible exactly where pass_ratios gives a row a ratio; a nan
+    # aggregate lies outside the gate and over no ceiling, so it reads noise
+    thr = Thresholds(gamma_lower=2.0, gamma_upper=10.0)
+    cfg = ReceiverConfig(r=1, upsilon=10)
+    for agg in (0.0, 1.999, 2.0, 6.0, 10.0, 10.001, math.inf, math.nan):
+        row = np.array([[agg / 2, agg / 2]])
+        ratio = receiver.pass_ratios(row, [0], [1], thr, cfg, np.random.default_rng(0))[0]
+        plausible = attack_plausibility(row[0], thr) == PLAUSIBILITY_PLAUSIBLE
+        assert plausible == (not math.isnan(ratio)), agg
+    assert attack_plausibility([math.nan, 1.0], thr) == PLAUSIBILITY_NOISE
+    assert attack_plausibility([math.inf, 1.0], thr) == PLAUSIBILITY_ENERGY_EXCEEDED
 
 
 def test_vote_clean_code_is_certain():
@@ -420,7 +434,7 @@ def test_backtrack_lattice_steps_one_bin():
         out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
                                rng=np.random.default_rng(0))
         count = min(int(window_ns / tp_ns) + 1, lock + 1)
-        assert out.candidate_toas_ns == tuple((lock - i) * tp_ns for i in range(count))
+        assert np.array_equal(out.candidate_toas_ns, [(lock - i) * tp_ns for i in range(count)])
     for bad in (-2.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="window"):
             ReceiverConfig(backtrack_window_ns=bad)
@@ -440,8 +454,8 @@ def test_backtrack_window_stops_short_of_a_slot_spacing():
         cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
         out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
                                rng=np.random.default_rng(0))
-        assert out.candidate_toas_ns == tuple((lock - i) * params.tp_ns
-                                              for i in range(params.stride))
+        assert np.array_equal(out.candidate_toas_ns, [(lock - i) * params.tp_ns
+                                                      for i in range(params.stride)])
 
 
 def test_backtrack_phase_flip_invariant():
@@ -491,8 +505,10 @@ def test_lattice_and_dense_records_detect_alike():
             assert a.lock_bin == b.lock_bin
             outs = [backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
                                      rng=np.random.default_rng(seed)) for tl in (a, b)]
-            for field in ("verdict", "toa_ns", "reason", "candidate_toas_ns", "aggregates"):
+            for field in ("verdict", "toa_ns", "reason"):
                 assert getattr(outs[0], field) == getattr(outs[1], field), field
+            for field in ("candidate_toas_ns", "aggregates"):
+                assert np.array_equal(getattr(outs[0], field), getattr(outs[1], field)), field
             assert np.array_equal(outs[0].pass_ratios, outs[1].pass_ratios, equal_nan=True)
 
 
@@ -541,8 +557,8 @@ def test_batch_votes_frames_in_order():
         for tl, code, out in zip(frames, codes, outs):
             alone = backtrack_detect(tl, code, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
                                      rng=np.random.default_rng(seed))
-            assert (out.candidate_toas_ns, out.aggregates) == (alone.candidate_toas_ns,
-                                                               alone.aggregates)
+            assert np.array_equal(out.candidate_toas_ns, alone.candidate_toas_ns)
+            assert np.array_equal(out.aggregates, alone.aggregates)
         assert voted_ratios(outs) == batch_votes(frames, codes, outs, seed).tolist()
 
 
@@ -591,6 +607,28 @@ def test_outcome_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "candidate_toa_ns,aggregate,pass_ratio"
     assert len(lines) == 2 + len(out.candidate_toas_ns)
+
+
+def test_outcome_diagnostics_are_read_only():
+    # every frame's diagnostics, a slice of the batch's, an outcome's empty
+    # defaults and arrays given to it are float64 vectors that refuse writes
+    params = small_params()
+    codes = [generate_code(params, seed=i) for i in range(2)]
+    frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=i, lead_ns=40.0, tail_ns=60.0)
+              for i, code in enumerate(codes)]
+    outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+                            rng=np.random.default_rng(0))
+    given = np.zeros(3)
+    built = DetectionOutcome(VERDICT_NO_CODE, None, None, given, given, given)
+    for out in [*outs, DetectionOutcome(verdict=VERDICT_NO_CODE), built]:
+        for name in ("candidate_toas_ns", "aggregates", "pass_ratios"):
+            values = getattr(out, name)
+            assert values.dtype == np.float64 and values.ndim == 1, name
+            with pytest.raises(ValueError, match="read-only"):
+                values[:1] = 0.0
+    # the outcome freezes a view, not the caller's array
+    given[0] = 1.0
+    assert built.aggregates[0] == 1.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
