@@ -7,6 +7,7 @@ might sit there, and separately replay an amplified copy of the overheard
 frame some delay later so the receiver locks onto the late copy.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,23 +58,23 @@ def plan_attack(
 def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> FrameTimeline:
     """Add a delayed, amplified copy of the overheard authentic frame.
 
-    The copy is superpose()'s replayed frame of the timeline's code and link:
-    the clean authentic frame (the adversary recorded it before its own
-    injections reached the receiver) scaled by gain_db, here shifted by
-    delay_ns rounded to whole bins, 1 to stride - 1 of them: a whole slot
-    spacing or more would already show in the round-trip bookkeeping, and
-    no more than the record reaches (the timeline's tail_ns). Acquisition
-    lock moves to whichever frame copy now holds the strongest pulse, the
-    later copy winning ties.
+    The copy is superpose() of the timeline's code and link with phases 0
+    at gain_db: the clean authentic frame (the adversary recorded it before
+    its own injections reached the receiver), here shifted by delay_ns
+    rounded to whole bins, 1 to stride - 1 of them: a whole slot spacing or
+    more would already show in the round-trip bookkeeping, and no more than
+    the record reaches (the timeline's tail_ns). A delay that is not finite
+    is refused too. Acquisition lock moves to whichever frame copy now
+    holds the strongest pulse, the later copy winning ties.
     """
-    shift = int(round(delay_ns / timeline.tp_ns))
+    steps = delay_ns / timeline.tp_ns
+    shift = int(round(steps)) if math.isfinite(steps) else 0
     if not 0 < shift < timeline.code.params.stride:
         raise ValueError("replay delay must round to one bin or more, short of one slot spacing")
     copy_start = timeline.start_bin + shift
     copy_bins = timeline.slot_bins(copy_start)
-    _, copy = superpose(timeline.link, timeline.code.slots, 0, gain_db)
     amps = timeline.amplitudes.copy()
-    amps[copy_bins] += copy
+    amps[copy_bins] += superpose(timeline.link, timeline.code.slots, 0, gain_db)
 
     peak_auth = np.abs(amps[timeline.slot_bins(timeline.start_bin)]).max()
     peak_copy = np.abs(amps[copy_bins]).max()

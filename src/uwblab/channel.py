@@ -97,20 +97,17 @@ def adversary_rx_power(link: LinkModel) -> float:
 
 
 def superpose(link: LinkModel, signs, phases, gain_db: float):
-    """(received, replayed) slot amplitudes: the one superposition rule. Draws nothing.
+    """Slot amplitudes of one received frame: the one superposition rule. Draws nothing.
 
     signs (authentic pulses) and phases (injections) hold -1, 0 or +1 per
     slot, one frame per row; phases may be the scalar 0 for a frame nobody
-    injects into. received = phases * sqrt(adversary power) + signs *
-    sqrt(worst-case power); replayed is the clean authentic frame scaled by
-    gain_db, the copy replay_frame lays down. Each output is one fresh
-    array, added to in place.
+    injects into. Returns one fresh array, signs * sqrt(worst-case power)
+    scaled by gain_db plus phases * sqrt(adversary power): a timeline's
+    frame at 0 dB, a replayed copy at the replay gain with phases 0.
     """
-    clean = signs * math.sqrt(worst_case_rx_power(link))
-    received = phases * math.sqrt(adversary_rx_power(link))
-    received += clean
-    clean *= 10.0 ** (gain_db / 20.0)
-    return received, clean
+    frame = signs * (math.sqrt(worst_case_rx_power(link)) * 10.0 ** (gain_db / 20.0))
+    frame += phases * math.sqrt(adversary_rx_power(link))
+    return frame
 
 
 def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
@@ -141,8 +138,8 @@ class FrameTimeline:
     is rows[i, s]. pitch is the stride for one train from bin 0 (the default),
     or less for n rows, one around each slot. start_bin marks the authentic
     frame, lock_bin the frame start the receiver's acquisition locked onto
-    (the strongest copy). A replay copies superpose() of the frame's code and
-    link. amplitudes is a read-only view sharing the given array's memory.
+    (the strongest copy). A replay adds superpose() of the frame's code and
+    link at its gain. amplitudes is a read-only view sharing the given array's memory.
     """
 
     amplitudes: np.ndarray
@@ -189,8 +186,8 @@ def synthesize_timeline(
     The frame starts lead_ns into the record (its time of arrival), which
     reaches lead_ns before and tail_ns after each slot, for backtracking and
     a delayed copy: one train from bin 0 where neighbouring reaches meet,
-    else n rows of lead + tail + 1 bins. Each slot bin receives superpose()'s
-    amplitude of the code and the attack's phases. Every recorded bin
+    else n rows of lead + tail + 1 bins. The slot bins receive superpose()
+    of the code and the attack's phases at 0 dB. Every recorded bin
     carries independent N(0, sigma_n2) noise, drawn in bin order from
     default_rng(noise_seed), an int or a Generator drawn from in place (a
     noiseless link draws nothing). A frame's slots are amplitudes[slot_bins(start)].
@@ -206,13 +203,12 @@ def synthesize_timeline(
     phases = 0 if attack is None else attack.phases
     if attack is not None and len(phases) != params.n:
         raise ValueError("attack plan length must equal the frame's n")
-    received, _ = superpose(link, code.slots, phases, 0.0)
 
     if link.sigma_n2 > 0:
         rng = np.random.default_rng(noise_seed)
         amps = rng.normal(0.0, math.sqrt(link.sigma_n2), size=nbins)
     else:
         amps = np.zeros(nbins)
-    amps[lead:lead + params.n * pitch:pitch] += received
+    amps[lead:lead + params.n * pitch:pitch] += superpose(link, code.slots, phases, 0.0)
     return FrameTimeline(amplitudes=amps, start_bin=lead, lock_bin=lead,
                          code=code, link=link, pitch=pitch)

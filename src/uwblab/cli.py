@@ -149,12 +149,9 @@ def cmd_simulate(args) -> int:
         metric=metric,
         replay_gain_db=args.gain,
     )
-    rows = run_grid(cfg)
-    extra = "metric=%s alpha=%d beta=%d r=%d trials=%d seed=%d" % (
-        metric, alpha, beta, r, args.trials, args.seed,
-    )
-    _write(rows_to_csv(rows, header_extra=extra), args.out)
+    session = None
     if args.trace_out is not None:
+        # before any output, so a delay the session refuses writes nothing
         session = run_session(
             cfg.params,
             cfg.link,
@@ -164,6 +161,12 @@ def cmd_simulate(args) -> int:
             replay_gain_db=cfg.replay_gain_db,
             receiver=cfg.receiver,
         )
+    rows = run_grid(cfg)
+    extra = "metric=%s alpha=%d beta=%d r=%d trials=%d seed=%d" % (
+        metric, alpha, beta, r, args.trials, args.seed,
+    )
+    _write(rows_to_csv(rows, header_extra=extra), args.out)
+    if session is not None:
         _write(session_trace(session), args.trace_out)
     if args.validate and not _agreement_ok(rows):
         print("validation failed: simulation disagrees with the analytic curve", file=sys.stderr)

@@ -15,9 +15,10 @@ replays do. The attack and noise games accept candidates by
 receiver.pass_ratios, as backtracking does; the noise game draws each
 frame's aggregate first and its slot split only inside the energy window.
 The evade game scores the receiver's Floyd picks, one doubling coin each.
-The simulated code occupies the first alpha slots. It is uniform and
-independent of injections, signs and noise, so every slot is exchangeable
-and a fixed bin split has the same distribution as a secret one.
+The simulated code occupies the first alpha slots, where pass_ratios reads
+the pulse bin. It is uniform and independent of injections, signs and
+noise, so every slot is exchangeable and a fixed bin split has the same
+distribution as a secret one.
 
 Trials are chunked; chunk c of grid point k draws its generator from
 SeedSequence((base_seed, k, c)), so splitting a run across workers at chunk
@@ -35,6 +36,9 @@ from .codec import CodeParams
 from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios
 
 CHUNK = 4096
+
+# standard normal quantile of the two-sided 95% Wilson interval
+WILSON_Z = 1.96
 
 METRIC_EVADE = "evade"
 METRIC_ATTACK = "attack"
@@ -78,10 +82,11 @@ class EstimateRow:
     analytic_p: float = float("nan")
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -147,7 +152,6 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
     n, alpha, beta = params.n, params.alpha, params.beta
     sigma = math.sqrt(link.sigma_n2)
     thr = compute_thresholds(link, params, link.d1_m + link.d2_m)
-    pulse, empty = slice(alpha), slice(alpha, None)
     cut = rcfg.p_noise_threshold
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
@@ -161,7 +165,8 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         inj_phases = 2.0 * (rng.random((m, n)) < 0.5) - 1.0
         inj_phases[:, :alpha][np.arange(alpha) >= x] = 0.0
         inj_phases[:, alpha:][np.arange(beta) >= k - x] = 0.0
-        e_auth, e_copy = superpose(link, signs, inj_phases, cfg.replay_gain_db)
+        e_auth = superpose(link, signs, inj_phases, 0.0)
+        e_copy = superpose(link, signs, 0, cfg.replay_gain_db)
         # energies square (amplitudes + noise) in place, noise drawn auth first
         e_auth += rng.normal(0.0, sigma, (m, n))
         np.square(e_auth, out=e_auth)
@@ -169,8 +174,8 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         np.square(e_copy, out=e_copy)
         agg_auth, agg_copy = e_auth.sum(axis=1), e_copy.sum(axis=1)
         exceeded = np.maximum(agg_auth, agg_copy) > thr.gamma_upper
-        hidden = ~(pass_ratios(e_auth, pulse, empty, thr, rcfg, rng, ~exceeded, agg_auth) > cut)
-        copy = pass_ratios(e_copy, pulse, empty, thr, rcfg, rng, ~exceeded & hidden, agg_copy)
+        hidden = ~(pass_ratios(e_auth, alpha, thr, rcfg, rng, ~exceeded, agg_auth) > cut)
+        copy = pass_ratios(e_copy, alpha, thr, rcfg, rng, ~exceeded & hidden, agg_copy)
         successes += int((copy > cut).sum())
     return successes
 
@@ -218,8 +223,7 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
         energies = rng.standard_normal(out=buf[:len(agg)])
         np.square(energies, out=energies)
         energies *= (agg / energies.sum(axis=1))[:, None]
-        ratios = pass_ratios(energies, slice(alpha), slice(alpha, None), thresholds, rcfg, rng,
-                             aggregates=agg)
+        ratios = pass_ratios(energies, alpha, thresholds, rcfg, rng, aggregates=agg)
         accepted += int((ratios > rcfg.p_noise_threshold).sum())
     return _estimate_row(0, cfg.trials, accepted)
 

@@ -12,6 +12,7 @@ time by delta / 2.
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,8 +40,8 @@ PHASE_ALARMED = "alarmed"
 class ProtocolState:
     """One ranging session's bookkeeping. Alarmed is terminal."""
 
+    precision_ns: ClassVar[float] = 0.33  # the ranging precision, one for every session
     t_max_tof_ns: float
-    precision_ns: float = 0.33
     t_commit_tof_ns: float | None = None
     t_verify_tof_ns: float | None = None
     phase: str = PHASE_IDLE
@@ -127,8 +128,9 @@ def run_session(
 
     replay_delay_ns > 0 replays the verification frames delayed by that
     much (one attacked direction, so the committed one-way time inflates by
-    half the delay); k > 0 additionally injects k random-phase pulses over
-    the authentic frame to hide it from backtracking. Both directions of
+    half the delay); a nan, infinite or negative delay is refused. k > 0
+    additionally injects k random-phase pulses over the authentic frame to
+    hide it from backtracking. Both directions of
     the verification exchange run detection; the response direction carries
     the attack. Honest runs end verified with commit and verify times equal.
 
@@ -139,6 +141,8 @@ def run_session(
     backtracking reads, so no noise is drawn where nothing reads it; the
     session reads only each outcome's verdict and time of arrival.
     """
+    if not 0 <= replay_delay_ns < math.inf:
+        raise ValueError("replay_delay_ns must be finite and nonnegative, got %r" % replay_delay_ns)
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
     state = ProtocolState(t_max_tof_ns=max_range_m / SPEED_OF_LIGHT_M_PER_NS)

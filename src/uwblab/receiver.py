@@ -146,11 +146,12 @@ def robust_code_verification(
     strictly exceeds the empty-slot aggregate. Ties fail: a window with no
     energy anywhere scores 0.0, not 1.0, so noiseless backtracking never
     mistakes silence for the code. The code is declared present when the
-    pass ratio beats the noise baseline; it is pass_ratios on one row, ungated.
-    The votes draw from rng, the caller's generator.
+    pass ratio beats the noise baseline; it is pass_ratios on one row,
+    ungated, its columns reordered pulse bin first as in backtracking. The
+    votes draw from rng, the caller's generator.
     """
-    energies = np.asarray(energies, dtype=np.float64)[None]
-    ratio = float(pass_ratios(energies, *bins(code), Thresholds(0.0, math.inf), cfg, rng)[0])
+    row = np.asarray(energies, dtype=np.float64)[None, np.concatenate(bins(code))]
+    ratio = float(pass_ratios(row, code.params.alpha, Thresholds(0.0, math.inf), cfg, rng)[0])
     return ratio, ratio > cfg.p_noise_threshold
 
 
@@ -224,18 +225,18 @@ def _in_window(agg, thresholds: Thresholds) -> np.ndarray:
     return (agg >= thresholds.gamma_lower) & (agg <= thresholds.gamma_upper)
 
 
-def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: ReceiverConfig,
-                rng, live=None, aggregates=None) -> np.ndarray:
+def pass_ratios(energies, alpha: int, thresholds: Thresholds, cfg: ReceiverConfig, rng,
+                live=None, aggregates=None) -> np.ndarray:
     """Vote ratio of each candidate frame (a row of energies): the one acceptance rule.
 
-    nan where the row's aggregate lies outside [gamma_lower, gamma_upper]
-    or live is False; 0.0 for a row with no energy at all, without voting,
-    since every strict vote on it ties; otherwise the row's vote() passes
-    over upsilon, the voted rows going to vote() in row order. bin_alpha and
-    bin_beta index the columns of each bin; aggregates, when given, are the
-    row sums. The vote draws from rng, the caller's generator.
-    A candidate is accepted when its ratio exceeds cfg.p_noise_threshold,
-    which nan never does.
+    A row holds its pulse bin in its first alpha columns, its empty bin in
+    the rest. nan where the row's aggregate lies outside [gamma_lower,
+    gamma_upper] or live is False; 0.0 for a row with no energy at all,
+    without voting, since every strict vote on it ties; otherwise the row's
+    vote() passes over upsilon, the voted rows going to vote() in row order.
+    aggregates, when given, are the row sums. The vote draws from rng, the
+    caller's generator. A candidate is accepted when its ratio exceeds
+    cfg.p_noise_threshold, which nan never does.
     """
     agg = energies.sum(axis=1) if aggregates is None else aggregates
     gated = _in_window(agg, thresholds)
@@ -244,8 +245,8 @@ def pass_ratios(energies, bin_alpha, bin_beta, thresholds: Thresholds, cfg: Rece
     ratios = np.where(gated, 0.0, np.nan)
     voted = gated & (agg > 0.0)
     # one copy per bin; vote() checks r against the bins even with no row voted
-    passes = vote(energies[:, bin_alpha][voted], energies[:, bin_beta][voted], cfg.r,
-                  cfg.upsilon, rng)
+    passes = vote(energies[:, :alpha][voted], energies[:, alpha:][voted], cfg.r, cfg.upsilon,
+                  rng)
     ratios[voted] = passes / cfg.upsilon
     return ratios
 
@@ -288,11 +289,11 @@ def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
         # the scan aborts at the first over-ceiling candidate, in scan order
         hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
         scanned = int(hot[0]) + 1 if len(hot) else len(starts)
-        # pulse bin first: every frame's bins are then the same two column slices
+        # pulse bin first, as pass_ratios reads its columns
         parts.append(energies[:scanned, np.concatenate(bins(code))])
         scans.append((starts[:scanned] * timeline.tp_ns, aggregates[:scanned], len(hot) > 0))
-    ratios = pass_ratios(np.concatenate(parts), slice(params.alpha), slice(params.alpha, None),
-                         thresholds, cfg, rng, aggregates=np.concatenate([s[1] for s in scans]))
+    ratios = pass_ratios(np.concatenate(parts), params.alpha, thresholds, cfg, rng,
+                         aggregates=np.concatenate([s[1] for s in scans]))
 
     outcomes, lo = [], 0
     for toas, aggregates, hot in scans:

@@ -1,5 +1,7 @@
 """Attack planning and the replayed-copy timeline transformation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,8 +28,8 @@ def test_replay_delay_inside_slot_spacing():
     tl = synthesize_timeline(code, unity_link(), noise_seed=0)
     assert replay_frame(tl, 998.0, 6.0).lock_bin == tl.start_bin + 499
     assert replay_frame(tl, 1.1, 6.0).lock_bin == tl.start_bin + 1
-    for delay_ns in (999.0, 1000.0, 0.0, 0.9):
-        with pytest.raises(ValueError):
+    for delay_ns in (999.0, 1000.0, 0.0, 0.9, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="replay delay must round"):
             replay_frame(tl, delay_ns, 6.0)
 
 

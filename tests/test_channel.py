@@ -124,9 +124,10 @@ def test_superpose_rows_are_the_pipeline_frames():
     signs = np.array([code.slots for code in codes])
     phases = np.array([plan.phases for plan in plans])
     gain_db, delay_ns = 6.0, 200.0
-    # the metric passes float64 rows, the pipeline int8 vectors
+    # the metric passes float64 rows, the pipeline int8 vectors; one call per frame
     for dtype in (np.int8, np.float64):
-        received, replayed = superpose(link, signs.astype(dtype), phases.astype(dtype), gain_db)
+        received = superpose(link, signs.astype(dtype), phases.astype(dtype), 0.0)
+        replayed = superpose(link, signs.astype(dtype), 0, gain_db)
         for code, plan, rx, copy in zip(codes, plans, received, replayed):
             tl = synthesize_timeline(code, link, attack=plan)
             assert np.array_equal(rx, tl.amplitudes[tl.slot_bins(tl.start_bin)])

@@ -229,6 +229,10 @@ def test_parameter_errors_exit_2(capsys):
     (("example", "--d1", "nan"), "distances"),
     (("example", "--d1", "inf"), "d1_m"),
     (("example", "--d2", "inf"), "d2_m"),
+    # the trace's session refuses the delay before anything is written
+    *[(("simulate", "--metric", "attack", "--alpha", "4", "--beta", "8", "--r", "1", "--k", "0",
+        "--trials", "16", "--d1", "10", "--d2", "0", "--delay", delay,
+        "--trace-out", os.devnull), "replay_delay_ns") for delay in ("nan", "-200")],
 ])
 def test_nan_parameter_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

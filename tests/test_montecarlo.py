@@ -341,8 +341,7 @@ def reference_false_positive_rate(cfg, thresholds=None):
     accepted = 0
     for rng, m in montecarlo._chunks(cfg.base_seed, 0, cfg.trials):
         energies = np.square(rng.normal(0.0, math.sqrt(link.sigma_n2), (m, params.n)))
-        ratios = pass_ratios(energies, slice(params.alpha), slice(params.alpha, None),
-                             thresholds, rcfg, rng)
+        ratios = pass_ratios(energies, params.alpha, thresholds, rcfg, rng)
         accepted += int((ratios > rcfg.p_noise_threshold).sum())
     return accepted
 

@@ -98,6 +98,14 @@ def test_replay_rounding_to_a_whole_spacing_is_refused():
         assert state.alarm_reason == REASON_TOF
 
 
+def test_replay_delay_must_be_finite_and_nonnegative():
+    # a nan or negative delay must not pass for "no replay" and run an honest session
+    for delay_ns in (math.nan, -200.0, -math.inf, math.inf):
+        with pytest.raises(ValueError, match="replay_delay_ns"):
+            run_session(PARAMS, replay_link(), seed=0, k=3, replay_delay_ns=delay_ns,
+                        receiver=RCV)
+
+
 def test_overdriven_replay_alarms_on_energy():
     state = run_session(PARAMS, replay_link(), seed=0,
                         replay_delay_ns=60.0, replay_gain_db=12.0,

@@ -92,7 +92,7 @@ def test_plausibility_reads_the_energy_gate():
     cfg = ReceiverConfig(r=1, upsilon=10)
     for agg in (0.0, 1.999, 2.0, 6.0, 10.0, 10.001, math.inf, math.nan):
         row = np.array([[agg / 2, agg / 2]])
-        ratio = receiver.pass_ratios(row, [0], [1], thr, cfg, np.random.default_rng(0))[0]
+        ratio = receiver.pass_ratios(row, 1, thr, cfg, np.random.default_rng(0))[0]
         plausible = attack_plausibility(row[0], thr) == PLAUSIBILITY_PLAUSIBLE
         assert plausible == (not math.isnan(ratio)), agg
     assert attack_plausibility([math.nan, 1.0], thr) == PLAUSIBILITY_NOISE
@@ -147,7 +147,7 @@ def test_votes_need_the_callers_generator():
     with pytest.raises(TypeError):
         robust_code_verification(np.ones(4), code, cfg)
     with pytest.raises(TypeError):
-        receiver.pass_ratios(np.ones((1, 4)), [0, 2], [1, 3], Thresholds(0.0, 9.0), cfg)
+        receiver.pass_ratios(np.ones((1, 4)), 2, Thresholds(0.0, 9.0), cfg)
     with pytest.raises(TypeError):
         backtrack_detect(tl, code, link, cfg)
     with pytest.raises(TypeError):
@@ -268,8 +268,9 @@ def candidate_cases(draw):
 @given(candidate_cases())
 def test_pass_ratios_gate_zero_rule_and_vote(case):
     e, bin_alpha, bin_beta, thr, cfg, seed, live = case
-    ratios = receiver.pass_ratios(e, bin_alpha, bin_beta, thr, cfg, np.random.default_rng(seed),
-                                  live=live)
+    # any code layout: the columns reordered pulse bin first, as backtracking does
+    ratios = receiver.pass_ratios(e[:, np.concatenate([bin_alpha, bin_beta])], len(bin_alpha),
+                                  thr, cfg, np.random.default_rng(seed), live=live)
     agg = e.sum(axis=1)
     gated = (agg >= thr.gamma_lower) & (agg <= thr.gamma_upper)
     if live is not None:
