@@ -137,6 +137,8 @@ def _agreement_ok(rows) -> bool:
 
 def cmd_simulate(args) -> int:
     alpha, beta, r, metric = args.alpha, args.beta, args.r, args.metric
+    if not 0 <= args.delay < np.inf:  # for every metric, though only an attack trace reads it
+        raise ValueError("replay_delay_ns must be finite and nonnegative, got %r" % args.delay)
     if args.validate and metric == "attack":
         raise ValueError("no closed form matches the attack metric; --validate needs --metric evade")
     cfg = TrialConfig(
@@ -151,7 +153,7 @@ def cmd_simulate(args) -> int:
     )
     session = None
     if args.trace_out is not None:
-        # before any output, so a delay the session refuses writes nothing
+        # before any output, so a session that fails writes nothing
         session = run_session(
             cfg.params,
             cfg.link,

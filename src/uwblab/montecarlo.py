@@ -146,7 +146,8 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
     direction 12). Success means the receiver accepts the delayed copy,
     rejects the authentic frame, and never sees an aggregate above the
     energy ceiling. Trials over the ceiling cast no vote, and the copy is
-    voted only where the authentic frame stayed hidden.
+    voted only where the authentic frame stayed hidden: rows that must not
+    vote get a nan aggregate, which pass_ratios gates out.
     """
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha, beta = params.n, params.alpha, params.beta
@@ -174,8 +175,10 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
         np.square(e_copy, out=e_copy)
         agg_auth, agg_copy = e_auth.sum(axis=1), e_copy.sum(axis=1)
         exceeded = np.maximum(agg_auth, agg_copy) > thr.gamma_upper
-        hidden = ~(pass_ratios(e_auth, alpha, thr, rcfg, rng, ~exceeded, agg_auth) > cut)
-        copy = pass_ratios(e_copy, alpha, thr, rcfg, rng, ~exceeded & hidden, agg_copy)
+        agg_auth[exceeded] = np.nan
+        hidden = ~(pass_ratios(e_auth, alpha, thr, rcfg, rng, agg_auth) > cut)
+        agg_copy[exceeded | ~hidden] = np.nan
+        copy = pass_ratios(e_copy, alpha, thr, rcfg, rng, agg_copy)
         successes += int((copy > cut).sum())
     return successes
 

@@ -20,6 +20,7 @@ from .adversary import plan_attack, replay_frame
 from .channel import SPEED_OF_LIGHT_M_PER_NS, LinkModel, synthesize_timeline
 from .codec import CodeParams, generate_code
 from .receiver import (
+    REASON_ENERGY,
     REASON_RANGE,
     REASON_TOF,
     VERDICT_ACCEPTED,
@@ -88,21 +89,18 @@ def verification_phase(
     """Judge the session from the verification frame's detection outcome.
 
     t_verify_tof_ns is the one-way time of flight the caller recovered from
-    the detection's time of arrival. A detection alarm propagates as-is; a
-    frame with no verifiable code fails closed as a time-of-flight mismatch
-    (there is no arrival to corroborate the commitment); otherwise the
-    committed and verified times must agree within the ranging precision.
-    Returns the resulting phase.
+    the detection's time of arrival. An attack verdict (energy over the
+    ceiling) alarms REASON_ENERGY; a frame with no verifiable code fails
+    closed as a time-of-flight mismatch (there is no arrival to corroborate
+    the commitment); otherwise the committed and verified times must agree
+    within the ranging precision. Returns the resulting phase.
     """
     if state.phase == PHASE_ALARMED:
         raise RuntimeError("session already alarmed")
     if state.phase != PHASE_COMMITTED:
         raise RuntimeError(f"verification requires a committed session, got {state.phase}")
-    if detection.verdict == VERDICT_ATTACK:
-        state._alarm(detection.reason)
-        return state.phase
     if detection.verdict != VERDICT_ACCEPTED or math.isnan(t_verify_tof_ns):
-        state._alarm(REASON_TOF)
+        state._alarm(REASON_ENERGY if detection.verdict == VERDICT_ATTACK else REASON_TOF)
         return state.phase
     state.t_verify_tof_ns = t_verify_tof_ns
     state._log("verify: t_tof=%.4f ns" % t_verify_tof_ns)
@@ -130,16 +128,17 @@ def run_session(
     much (one attacked direction, so the committed one-way time inflates by
     half the delay); a nan, infinite or negative delay is refused. k > 0
     additionally injects k random-phase pulses over the authentic frame to
-    hide it from backtracking. Both directions of
-    the verification exchange run detection; the response direction carries
-    the attack. Honest runs end verified with commit and verify times equal.
+    hide it from backtracking. Both directions of the verification exchange
+    run detection; the response direction carries the attack. Honest runs
+    end verified with commit and verify times equal.
 
     One generator, default_rng(seed), draws both codes, the attack plan
     (under attack with k > 0), both frames' noise and only then one vote
-    over both frames (one backtrack_frames batch, challenge first), so the
-    number of votes cast never moves a frame. A frame records only what
-    backtracking reads, so no noise is drawn where nothing reads it; the
-    session reads only each outcome's verdict and time of arrival.
+    over both frames (one backtrack_frames batch, challenge first, each
+    frame carrying its code and link), so the number of votes cast never
+    moves a frame. A frame records only what backtracking reads, so no
+    noise is drawn where nothing reads it; the session reads only each
+    outcome's verdict and time of arrival.
     """
     if not 0 <= replay_delay_ns < math.inf:
         raise ValueError("replay_delay_ns must be finite and nonnegative, got %r" % replay_delay_ns)
@@ -161,7 +160,7 @@ def run_session(
     if attacked:
         frames[1] = replay_frame(frames[1], replay_delay_ns, replay_gain_db)
 
-    outcomes = backtrack_frames(frames, codes, link, receiver, d_committed_m=d_committed, rng=rng)
+    outcomes = backtrack_frames(frames, receiver, d_committed_m=d_committed, rng=rng)
     for name, outcome in zip(("challenge", "response"), outcomes):
         state._log(f"frame {name}: {outcome.verdict}")
     rejected = [o for o in outcomes if o.verdict != VERDICT_ACCEPTED]

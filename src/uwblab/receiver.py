@@ -82,16 +82,14 @@ class Thresholds:
 class DetectionOutcome:
     """Backtracking result plus per-candidate diagnostics.
 
-    verdict is one of VERDICT_*; toa_ns is set only for an accepted code and
-    names the earliest accepted candidate. Diagnostics run in scan order
-    (acquisition lock first, then progressively earlier) as read-only float64
-    vectors; pass_ratios holds nan where the vote never ran (noise-gated or
-    energy-exceeded candidates).
+    verdict is one of VERDICT_*, an attack meaning an aggregate over the
+    ceiling; toa_ns names the earliest accepted candidate of an accepted code.
+    Diagnostics run in scan order (acquisition lock first, then earlier) as
+    read-only float64 vectors; pass_ratios holds nan where the vote never ran.
     """
 
     verdict: str
     toa_ns: float | None = None
-    reason: str | None = None
     candidate_toas_ns: np.ndarray = ()
     aggregates: np.ndarray = ()
     pass_ratios: np.ndarray = ()
@@ -150,7 +148,10 @@ def robust_code_verification(
     ungated, its columns reordered pulse bin first as in backtracking. The
     votes draw from rng, the caller's generator.
     """
-    row = np.asarray(energies, dtype=np.float64)[None, np.concatenate(bins(code))]
+    row = np.asarray(energies, dtype=np.float64)[None]
+    if row.shape != (1, code.params.n):
+        raise ValueError("energies hold %d slots, the code %d" % (row.size, code.params.n))
+    row = row[:, np.concatenate(bins(code))]
     ratio = float(pass_ratios(row, code.params.alpha, Thresholds(0.0, math.inf), cfg, rng)[0])
     return ratio, ratio > cfg.p_noise_threshold
 
@@ -226,22 +227,19 @@ def _in_window(agg, thresholds: Thresholds) -> np.ndarray:
 
 
 def pass_ratios(energies, alpha: int, thresholds: Thresholds, cfg: ReceiverConfig, rng,
-                live=None, aggregates=None) -> np.ndarray:
+                aggregates=None) -> np.ndarray:
     """Vote ratio of each candidate frame (a row of energies): the one acceptance rule.
 
     A row holds its pulse bin in its first alpha columns, its empty bin in
-    the rest. nan where the row's aggregate lies outside [gamma_lower,
-    gamma_upper] or live is False; 0.0 for a row with no energy at all,
-    without voting, since every strict vote on it ties; otherwise the row's
-    vote() passes over upsilon, the voted rows going to vote() in row order.
-    aggregates, when given, are the row sums. The vote draws from rng, the
-    caller's generator. A candidate is accepted when its ratio exceeds
-    cfg.p_noise_threshold, which nan never does.
+    the rest; aggregates, by default the row sums, are what the gate reads.
+    nan outside [gamma_lower, gamma_upper]: a nan aggregate is the one mark
+    of a row that is no candidate. 0.0 for a row with no energy, unvoted
+    (every strict vote on it ties); else vote() passes over upsilon, the
+    rows voted in row order on rng, the caller's generator. A candidate is
+    accepted when its ratio exceeds cfg.p_noise_threshold, which nan never does.
     """
     agg = energies.sum(axis=1) if aggregates is None else aggregates
     gated = _in_window(agg, thresholds)
-    if live is not None:
-        gated &= live
     ratios = np.where(gated, 0.0, np.nan)
     voted = gated & (agg > 0.0)
     # one copy per bin; vote() checks r against the bins even with no row voted
@@ -251,34 +249,33 @@ def pass_ratios(energies, alpha: int, thresholds: Thresholds, cfg: ReceiverConfi
     return ratios
 
 
-def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
-                     d_committed_m: float | None = None, *, rng) -> list:
+def backtrack_frames(timelines, cfg: ReceiverConfig, d_committed_m: float | None = None, *,
+                     rng) -> list:
     """Scan earlier alignments of a batch of frames for hidden authentic copies.
 
-    One DetectionOutcome per frame; the codes share one geometry. In each
-    frame, starting from its acquisition lock, candidate frame starts step
-    earlier one bin (tp_ns) at a time: int(backtrack_window_ns / tp_ns) + 1
-    of them, at most stride (a replay trails by less than one slot spacing,
-    and a start a whole spacing back reads the code shifted by whole slots),
-    and only down to bin 0, lead_ns before the authentic frame, where the
-    record stops (a slice of timeline.rows). Any candidate whose aggregate
-    exceeds the ceiling aborts that frame's scan as an attack; candidates
-    below the noise floor are skipped; the rest take the code vote. Among a
-    frame's accepted candidates the earliest time of arrival wins, since a
-    replayed copy can only ever trail the authentic one. The thresholds and
-    the energy gate are computed once, and one pass_ratios call on rng votes
-    every frame's candidates, in frame order and then scan order. Each
-    outcome's diagnostics are that frame's slices of the scan, not copies.
+    One DetectionOutcome per frame, read with its own code; the frames share
+    one code geometry and one link, whose thresholds (for d_committed_m, by
+    default d1_m + d2_m) they all use. In each frame candidate starts step
+    back from the acquisition lock one bin (tp_ns) at a time:
+    int(backtrack_window_ns / tp_ns) + 1 of them, at most stride (a replay
+    trails by less than one slot spacing, and a start a whole spacing back
+    reads the code shifted by whole slots), and only down to bin 0, lead_ns
+    before the authentic frame, where the record stops. Any candidate over
+    the ceiling aborts that frame's scan as an attack; candidates below the
+    floor are skipped; the rest take the code vote. A frame's earliest accepted
+    candidate wins, since a replayed copy can only trail the authentic one.
+    One pass_ratios call on rng votes every frame's candidates, in frame
+    order and then scan order. Diagnostics are slices of the scan, not copies.
     """
-    params = codes[0].params
-    if any(code.params != params for code in codes):
-        raise ValueError("frames of one batch must share a code geometry")
+    params, link = timelines[0].code.params, timelines[0].link
+    if any(tl.code.params != params or tl.link != link for tl in timelines):
+        raise ValueError("frames of one batch must share a code geometry and a link")
     if d_committed_m is None:
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
 
     scans, parts = [], []
-    for timeline, code in zip(timelines, codes, strict=True):
+    for timeline in timelines:
         n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
         lock, rows = timeline.lock_bin, timeline.rows
         if not 0 <= lock < rows.shape[1]:
@@ -290,7 +287,7 @@ def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
         hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
         scanned = int(hot[0]) + 1 if len(hot) else len(starts)
         # pulse bin first, as pass_ratios reads its columns
-        parts.append(energies[:scanned, np.concatenate(bins(code))])
+        parts.append(energies[:scanned, np.concatenate(bins(timeline.code))])
         scans.append((starts[:scanned] * timeline.tp_ns, aggregates[:scanned], len(hot) > 0))
     ratios = pass_ratios(np.concatenate(parts), params.alpha, thresholds, cfg, rng,
                          aggregates=np.concatenate([s[1] for s in scans]))
@@ -301,19 +298,17 @@ def backtrack_frames(timelines, codes, link: LinkModel, cfg: ReceiverConfig,
         accepted = toas[frame_ratios > cfg.p_noise_threshold]
         verdict = VERDICT_ATTACK if hot else VERDICT_ACCEPTED if len(accepted) else VERDICT_NO_CODE
         toa = float(accepted.min()) if verdict == VERDICT_ACCEPTED else None
-        outcomes.append(DetectionOutcome(verdict, toa, REASON_ENERGY if hot else None,
-                                         toas, aggregates, frame_ratios))
+        outcomes.append(DetectionOutcome(verdict, toa, toas, aggregates, frame_ratios))
     return outcomes
 
 
-def backtrack_detect(timeline: FrameTimeline, code: VerificationCode, link: LinkModel,
-                     cfg: ReceiverConfig, d_committed_m: float | None = None, *,
-                     rng) -> DetectionOutcome:
+def backtrack_detect(timeline: FrameTimeline, cfg: ReceiverConfig,
+                     d_committed_m: float | None = None, *, rng) -> DetectionOutcome:
     """Scan earlier alignments of one frame for a hidden authentic copy.
 
     backtrack_frames on a batch of one; rng is pass_ratios' generator.
     """
-    return backtrack_frames([timeline], [code], link, cfg, d_committed_m, rng=rng)[0]
+    return backtrack_frames([timeline], cfg, d_committed_m, rng=rng)[0]
 
 
 def outcome_to_csv(outcome: DetectionOutcome) -> str:

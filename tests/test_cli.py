@@ -233,6 +233,9 @@ def test_parameter_errors_exit_2(capsys):
     *[(("simulate", "--metric", "attack", "--alpha", "4", "--beta", "8", "--r", "1", "--k", "0",
         "--trials", "16", "--d1", "10", "--d2", "0", "--delay", delay,
         "--trace-out", os.devnull), "replay_delay_ns") for delay in ("nan", "-200")],
+    # every metric refuses it, though only the attack trace replays
+    (("simulate", "--metric", "evade", "--alpha", "4", "--beta", "8", "--r", "1", "--k", "0",
+      "--trials", "16", "--delay", "nan", "--trace-out", os.devnull), "replay_delay_ns"),
 ])
 def test_nan_parameter_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

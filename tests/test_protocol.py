@@ -312,9 +312,9 @@ def frame_calls(monkeypatch):
     """(code slots, DetectionOutcome, timeline) of every frame run_session detects, in order."""
     calls = []
 
-    def capture(timelines, codes, *args, **kwargs):
-        outcomes = backtrack_frames(timelines, codes, *args, **kwargs)
-        calls.extend((code.slots, o, tl) for code, o, tl in zip(codes, outcomes, timelines))
+    def capture(timelines, *args, **kwargs):
+        outcomes = backtrack_frames(timelines, *args, **kwargs)
+        calls.extend((tl.code.slots, o, tl) for o, tl in zip(outcomes, timelines))
         return outcomes
 
     monkeypatch.setattr(protocol, "backtrack_frames", capture)
@@ -377,9 +377,9 @@ def test_challenge_code_is_the_seed_code(frame_calls):
         assert np.array_equal(frame_calls[0][0], generate_code(PIN_PARAMS, seed).slots)
 
 
-def per_frame_detection(timelines, codes, *args, **kwargs):
+def per_frame_detection(timelines, *args, **kwargs):
     """The per-frame session detection: backtrack_detect on each frame in turn, on one generator."""
-    return [backtrack_detect(tl, code, *args, **kwargs) for tl, code in zip(timelines, codes)]
+    return [backtrack_detect(tl, *args, **kwargs) for tl in timelines]
 
 
 def test_batched_session_keeps_the_per_frame_law(monkeypatch):

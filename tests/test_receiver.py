@@ -17,7 +17,7 @@ from uwblab.channel import (FrameTimeline, LinkModel, expected_rx_power,
                             worst_case_rx_power)
 from uwblab.codec import CodeParams, bins, code_from_line, generate_code
 from uwblab.receiver import (PLAUSIBILITY_ENERGY_EXCEEDED, PLAUSIBILITY_NOISE,
-                             PLAUSIBILITY_PLAUSIBLE, REASON_ENERGY,
+                             PLAUSIBILITY_PLAUSIBLE,
                              VERDICT_ACCEPTED, VERDICT_ATTACK, VERDICT_NO_CODE,
                              DetectionOutcome, ReceiverConfig, Thresholds, attack_plausibility,
                              backtrack_detect, backtrack_frames, compute_thresholds,
@@ -72,7 +72,7 @@ def test_slot_energies_square_law():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0)
     cfg = ReceiverConfig(r=1, upsilon=10, backtrack_window_ns=0.0)
-    out = backtrack_detect(tl, code, link, cfg, rng=np.random.default_rng(0))
+    out = backtrack_detect(tl, cfg, rng=np.random.default_rng(0))
     assert out.aggregates == pytest.approx((2.0,))
 
 
@@ -138,6 +138,16 @@ def test_vote_r_validation():
                                  np.random.default_rng(0))
 
 
+def test_vote_window_must_match_the_code():
+    # a window of other than n slots is refused, naming both lengths: extra
+    # slots are not dropped, and a short window is no IndexError
+    code = code_from_line("1,0,-1,0")
+    for energies, size in ((np.array([1.0, 0, 1, 0, 99.0]), 5), (np.zeros(3), 3)):
+        with pytest.raises(ValueError, match="%d slots, the code 4" % size):
+            robust_code_verification(energies, code, ReceiverConfig(r=1),
+                                     np.random.default_rng(0))
+
+
 def test_votes_need_the_callers_generator():
     # there is no default vote stream: every vote needs the caller's generator
     code = code_from_line("1,0,-1,0")
@@ -149,7 +159,7 @@ def test_votes_need_the_callers_generator():
     with pytest.raises(TypeError):
         receiver.pass_ratios(np.ones((1, 4)), 2, Thresholds(0.0, 9.0), cfg)
     with pytest.raises(TypeError):
-        backtrack_detect(tl, code, link, cfg)
+        backtrack_detect(tl, cfg)
     with pytest.raises(TypeError):
         ReceiverConfig(rng_seed=0)
 
@@ -247,7 +257,7 @@ def test_vote_whole_bins_is_all_or_nothing(case):
 
 @st.composite
 def candidate_cases(draw):
-    """Integer-energy candidate rows, some all-zero, with a window and a live mask."""
+    """Integer-energy candidate rows, some all-zero, with a window and some nan aggregates."""
     rows, alpha, beta = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
     n = alpha + beta
     cells = st.lists(st.integers(0, 4), min_size=rows * n, max_size=rows * n)
@@ -261,20 +271,22 @@ def candidate_cases(draw):
     cfg = ReceiverConfig(r=draw(st.integers(1, min(alpha, beta))), upsilon=draw(st.integers(1, 30)))
     seed = draw(st.integers(0, 2**32))
     return (e, np.sort(perm[:alpha]), np.sort(perm[alpha:]), thr, cfg, seed,
-            draw(st.none() | flags))
+            draw(st.none() | flags))  # rows whose aggregate reads nan: no candidate
 
 
 @VOTE_PROPERTY
 @given(candidate_cases())
 def test_pass_ratios_gate_zero_rule_and_vote(case):
-    e, bin_alpha, bin_beta, thr, cfg, seed, live = case
+    e, bin_alpha, bin_beta, thr, cfg, seed, dropped = case
+    agg = e.sum(axis=1)
+    aggregates = None
+    if dropped is not None:
+        agg[dropped] = np.nan
+        aggregates = agg
     # any code layout: the columns reordered pulse bin first, as backtracking does
     ratios = receiver.pass_ratios(e[:, np.concatenate([bin_alpha, bin_beta])], len(bin_alpha),
-                                  thr, cfg, np.random.default_rng(seed), live=live)
-    agg = e.sum(axis=1)
+                                  thr, cfg, np.random.default_rng(seed), aggregates=aggregates)
     gated = (agg >= thr.gamma_lower) & (agg <= thr.gamma_upper)
-    if live is not None:
-        gated &= live
     assert (np.isnan(ratios) == ~gated).all()
     assert (ratios[gated & (agg == 0.0)] == 0.0).all()
     voted = gated & (agg > 0.0)
@@ -351,7 +363,7 @@ def test_backtrack_memory_bounded_at_n600():
     tl = synthesize_timeline(code, link, noise_seed=1)
     tracemalloc.start()
     try:
-        out = backtrack_detect(tl, code, link, ReceiverConfig(), d_committed_m=10.0,
+        out = backtrack_detect(tl, ReceiverConfig(), d_committed_m=10.0,
                                rng=np.random.default_rng(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -367,7 +379,7 @@ def test_backtrack_honest_exact_toa():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                            rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ACCEPTED
     assert out.toa_ns == tl.start_bin * tl.tp_ns
@@ -382,7 +394,7 @@ def test_backtrack_finds_authentic_before_copy():
     replayed = replay_frame(tl, 40.0, 3.0)
     assert replayed.lock_bin == tl.start_bin + 20
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
-    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5,
+    out = backtrack_detect(replayed, cfg, d_committed_m=8.5,
                            rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ACCEPTED
     # both alignments verify; the earlier one is the authentic arrival
@@ -399,10 +411,9 @@ def test_backtrack_hot_copy_aborts():
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=160.0)
     replayed = replay_frame(tl, 40.0, 6.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=60.0)
-    out = backtrack_detect(replayed, code, link, cfg, d_committed_m=8.5,
+    out = backtrack_detect(replayed, cfg, d_committed_m=8.5,
                            rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_ATTACK
-    assert out.reason == REASON_ENERGY
     # the scan stopped at the first hot candidate, the lock itself
     assert len(out.candidate_toas_ns) == 1
 
@@ -415,7 +426,7 @@ def test_backtrack_silence_finds_nothing():
     tl = FrameTimeline(amplitudes=np.zeros(bins), start_bin=20, lock_bin=20,
                        code=code, link=link)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                            rng=np.random.default_rng(0))
     assert out.verdict == VERDICT_NO_CODE
     assert all(r == 0.0 for r in out.pass_ratios)
@@ -432,7 +443,7 @@ def test_backtrack_lattice_steps_one_bin():
         tl = FrameTimeline(amplitudes=np.zeros(lock + params.n * 200), start_bin=lock,
                            lock_bin=lock, code=code, link=link)
         cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
-        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+        out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                                rng=np.random.default_rng(0))
         count = min(int(window_ns / tp_ns) + 1, lock + 1)
         assert np.array_equal(out.candidate_toas_ns, [(lock - i) * tp_ns for i in range(count)])
@@ -453,7 +464,7 @@ def test_backtrack_window_stops_short_of_a_slot_spacing():
                        lock_bin=lock, code=code, link=link)
     for window_ns in (98.0, 100.0, 660.0):
         cfg = ReceiverConfig(r=2, upsilon=10, backtrack_window_ns=window_ns)
-        out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+        out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                                rng=np.random.default_rng(0))
         assert np.array_equal(out.candidate_toas_ns, [(lock - i) * params.tp_ns
                                                       for i in range(params.stride)])
@@ -466,9 +477,9 @@ def test_backtrack_phase_flip_invariant():
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     flipped = dataclasses.replace(tl, amplitudes=-tl.amplitudes)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    a = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    a = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                          rng=np.random.default_rng(0))
-    b = backtrack_detect(flipped, code, link, cfg, d_committed_m=link.d1_m,
+    b = backtrack_detect(flipped, cfg, d_committed_m=link.d1_m,
                          rng=np.random.default_rng(0))
     assert a.verdict == b.verdict and a.toa_ns == b.toa_ns
 
@@ -479,7 +490,7 @@ def test_backtrack_never_returns_later_than_lock():
     link = unity_link(sigma_n2=0.01)
     tl = synthesize_timeline(code, link, noise_seed=9, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                            rng=np.random.default_rng(0))
     if out.verdict == VERDICT_ACCEPTED:
         assert out.toa_ns <= tl.lock_bin * tl.tp_ns
@@ -504,9 +515,9 @@ def test_lattice_and_dense_records_detect_alike():
         for a, b in ((lattice, dense), (replay_frame(lattice, delay_ns, 6.0),
                                         replay_frame(dense, delay_ns, 6.0))):
             assert a.lock_bin == b.lock_bin
-            outs = [backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+            outs = [backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                                      rng=np.random.default_rng(seed)) for tl in (a, b)]
-            for field in ("verdict", "toa_ns", "reason"):
+            for field in ("verdict", "toa_ns"):
                 assert getattr(outs[0], field) == getattr(outs[1], field), field
             for field in ("candidate_toas_ns", "aggregates"):
                 assert np.array_equal(getattr(outs[0], field), getattr(outs[1], field)), field
@@ -552,11 +563,11 @@ def test_batch_votes_frames_in_order():
         frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=10 * seed + i, lead_ns=40.0,
                                       tail_ns=60.0) for i, code in enumerate(codes)]
         frames[2] = replay_frame(frames[2], 20.0, 0.0)
-        outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+        outs = backtrack_frames(frames, BATCH_CFG, BATCH_LINK.d1_m,
                                 rng=np.random.default_rng(seed))
         assert len(outs) == 3
-        for tl, code, out in zip(frames, codes, outs):
-            alone = backtrack_detect(tl, code, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+        for tl, out in zip(frames, outs):
+            alone = backtrack_detect(tl, BATCH_CFG, BATCH_LINK.d1_m,
                                      rng=np.random.default_rng(seed))
             assert np.array_equal(out.candidate_toas_ns, alone.candidate_toas_ns)
             assert np.array_equal(out.aggregates, alone.aggregates)
@@ -575,9 +586,9 @@ def test_batch_ceiling_abort_is_per_frame():
     amps = frames[0].amplitudes.copy()
     amps[frames[0].slot_bins(frames[0].lock_bin - j)] += 3.0
     frames[0] = dataclasses.replace(frames[0], amplitudes=amps)
-    outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+    outs = backtrack_frames(frames, BATCH_CFG, BATCH_LINK.d1_m,
                             rng=np.random.default_rng(7))
-    assert outs[0].verdict == VERDICT_ATTACK and outs[0].reason == REASON_ENERGY
+    assert outs[0].verdict == VERDICT_ATTACK
     assert len(outs[0].candidate_toas_ns) == j + 1 and math.isnan(outs[0].pass_ratios[j])
     assert len(outs[1].candidate_toas_ns) == int(40.0 / params.tp_ns) + 1
     assert outs[1].verdict != VERDICT_ATTACK
@@ -590,10 +601,17 @@ def test_batch_needs_one_code_geometry_and_a_code_per_frame():
              generate_code(CodeParams(n=12, alpha=5, beta=7, ts_ns=100.0, tp_ns=2.0, r=2), seed=0)]
     frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=0, lead_ns=40.0) for code in codes]
     with pytest.raises(ValueError, match="geometry"):
-        backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, rng=np.random.default_rng(0))
-    # one code per frame: a frame without its code is refused, not dropped
-    with pytest.raises(ValueError):
-        backtrack_frames(frames, codes[:1], BATCH_LINK, BATCH_CFG, rng=np.random.default_rng(0))
+        backtrack_frames(frames, BATCH_CFG, rng=np.random.default_rng(0))
+    # each frame carries its code and link, and the batch's thresholds read
+    # one link: frames of one geometry over two links are refused too
+    other = dataclasses.replace(BATCH_LINK, d1_m=BATCH_LINK.d1_m + 1.0)
+    frames = [synthesize_timeline(codes[0], link, noise_seed=0, lead_ns=40.0)
+              for link in (BATCH_LINK, other)]
+    with pytest.raises(ValueError, match="link"):
+        backtrack_frames(frames, BATCH_CFG, rng=np.random.default_rng(0))
+    # equal links need not be one object
+    frames[1] = dataclasses.replace(frames[1], link=dataclasses.replace(BATCH_LINK))
+    assert len(backtrack_frames(frames, BATCH_CFG, rng=np.random.default_rng(0))) == 2
 
 
 def test_outcome_csv_schema():
@@ -602,7 +620,7 @@ def test_outcome_csv_schema():
     link = unity_link()
     tl = synthesize_timeline(code, link, noise_seed=0, lead_ns=40.0, tail_ns=60.0)
     cfg = ReceiverConfig(r=2, upsilon=100, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                            rng=np.random.default_rng(0))
     lines = outcome_to_csv(out).strip().split("\n")
     assert lines[0] == "# schema=1"
@@ -617,10 +635,10 @@ def test_outcome_diagnostics_are_read_only():
     codes = [generate_code(params, seed=i) for i in range(2)]
     frames = [synthesize_timeline(code, BATCH_LINK, noise_seed=i, lead_ns=40.0, tail_ns=60.0)
               for i, code in enumerate(codes)]
-    outs = backtrack_frames(frames, codes, BATCH_LINK, BATCH_CFG, BATCH_LINK.d1_m,
+    outs = backtrack_frames(frames, BATCH_CFG, BATCH_LINK.d1_m,
                             rng=np.random.default_rng(0))
     given = np.zeros(3)
-    built = DetectionOutcome(VERDICT_NO_CODE, None, None, given, given, given)
+    built = DetectionOutcome(VERDICT_NO_CODE, None, given, given, given)
     for out in [*outs, DetectionOutcome(verdict=VERDICT_NO_CODE), built]:
         for name in ("candidate_toas_ns", "aggregates", "pass_ratios"):
             values = getattr(out, name)
@@ -645,7 +663,7 @@ def test_backtrack_accepts_nothing_later_than_lock(code_seed, noise_seed, vote_s
     if delay_ns:
         tl = replay_frame(tl, delay_ns, 6.0)
     cfg = ReceiverConfig(r=1, upsilon=50, backtrack_window_ns=40.0)
-    out = backtrack_detect(tl, code, link, cfg, d_committed_m=link.d1_m,
+    out = backtrack_detect(tl, cfg, d_committed_m=link.d1_m,
                            rng=np.random.default_rng(vote_seed))
     if out.verdict == VERDICT_ACCEPTED:
         assert out.toa_ns <= tl.lock_bin * tl.tp_ns
