@@ -8,7 +8,7 @@ frame some delay later so the receiver locks onto the late copy.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +79,8 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
     peak_auth = np.abs(amps[timeline.slot_bins(timeline.start_bin)]).max()
     peak_copy = np.abs(amps[copy_bins]).max()
     lock = copy_start if peak_copy >= peak_auth else timeline.start_bin
-    return replace(timeline, amplitudes=amps, lock_bin=lock)
+    return FrameTimeline(amps, timeline.start_bin, lock, timeline.code, timeline.link,
+                         timeline.pitch)
 
 
 def plan_to_csv(plan: AttackPlan) -> str:

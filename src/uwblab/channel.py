@@ -11,6 +11,7 @@ place where link powers become slot amplitudes.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,8 @@ class LinkModel:
     is the extra degradation the real signal suffers beyond path loss.
     sigma_n2 is the receiver noise variance in power units. The defaults
     reproduce the walk-through scenario of the `uwblab example` command.
+    auth_amp and adv_amp, the square roots of worst_case_rx_power and
+    adversary_rx_power, are computed once, outside eq, hash, repr and replace().
     """
 
     d1_m: float = 4.0
@@ -85,6 +88,9 @@ class LinkModel:
         if not (self.p_sent >= 0 and self.p_adv_sent >= 0 and self.sigma_n2 >= 0):
             raise ValueError("powers and noise variance must be nonnegative")
 
+    auth_amp = cached_property(lambda self: math.sqrt(worst_case_rx_power(self)))
+    adv_amp = cached_property(lambda self: math.sqrt(adversary_rx_power(self)))
+
 
 def worst_case_rx_power(link: LinkModel) -> float:
     """Authentic per-pulse power actually arriving (path loss plus e_db)."""
@@ -99,14 +105,14 @@ def adversary_rx_power(link: LinkModel) -> float:
 def superpose(link: LinkModel, signs, phases, gain_db: float):
     """Slot amplitudes of one received frame: the one superposition rule. Draws nothing.
 
-    signs (authentic pulses) and phases (injections) hold -1, 0 or +1 per
-    slot, one frame per row; phases may be the scalar 0 for a frame nobody
-    injects into. Returns one fresh array, signs * sqrt(worst-case power)
-    scaled by gain_db plus phases * sqrt(adversary power): a timeline's
-    frame at 0 dB, a replayed copy at the replay gain with phases 0.
+    signs (authentic pulses) and phases (injections, or the scalar 0 for none,
+    which skips that term) hold -1, 0 or +1 per slot, one frame per row.
+    Returns one fresh array, signs * link.auth_amp * 10^(gain_db / 20) plus
+    phases * link.adv_amp: a frame at 0 dB, a replayed copy at the replay gain.
     """
-    frame = signs * (math.sqrt(worst_case_rx_power(link)) * 10.0 ** (gain_db / 20.0))
-    frame += phases * math.sqrt(adversary_rx_power(link))
+    frame = signs * (link.auth_amp * 10.0 ** (gain_db / 20.0))
+    if type(phases) is not int or phases:  # amp > 0 makes no -0.0, so + 0.0 is a no-op
+        frame += phases * link.adv_amp
     return frame
 
 
@@ -163,6 +169,8 @@ class FrameTimeline:
     def rows(self) -> np.ndarray:
         """Read-only view: rows[i, s] = amplitudes[s + i * pitch] for each frame start s held."""
         amps, n = self.amplitudes, self.code.params.n
+        if len(amps) == n * self.pitch:  # n rows that tile the record
+            return amps.reshape(n, self.pitch)
         return np.ndarray((n, max(0, len(amps) - (n - 1) * self.pitch)), buffer=amps,
                           strides=(self.pitch * amps.itemsize, amps.itemsize))
 

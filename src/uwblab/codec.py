@@ -8,6 +8,7 @@ frame later in time has to guess both the occupied subset and the signs.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,9 @@ class CodeParams:
         if not 1 <= self.r <= self.alpha:
             raise ValueError("sample size r must satisfy 1 <= r <= alpha")
 
-    @property
+    @cached_property
     def stride(self) -> int:
-        """Timeline bins (of width tp_ns) per slot spacing ts_ns."""
+        """Timeline bins (of width tp_ns) per slot spacing ts_ns, computed once."""
         return int(round(self.ts_ns / self.tp_ns))
 
 
@@ -45,12 +46,12 @@ def _unit_slots(values, name: str) -> np.ndarray:
     """values as a read-only int8 vector of -1, 0, +1: the check of codes and plans.
 
     The int8 cast must keep every value, so 255 and 0.5 are refused, not
-    wrapped to -1 or truncated to 0; the range test is not abs() <= 1, as
+    wrapped to -1 or truncated to 0; the range test takes abs() in int16, as
     abs(-128) is -128 in int8. An int8 vector is taken without a copy.
     """
     given = np.asarray(values)
     vec = given.astype(np.int8, copy=False)
-    if (given.ndim != 1 or vec.min(initial=0) < -1 or vec.max(initial=0) > 1
+    if (given.ndim != 1 or np.count_nonzero(np.abs(vec, dtype=np.int16) > 1)
             or (vec is not given and not np.array_equal(vec, given))):
         raise ValueError(f"{name} must be one vector of -1, 0 or +1 per slot")
     vec.setflags(write=False)
@@ -67,8 +68,8 @@ def _draw_slots(n: int, count: int, seed) -> np.ndarray:
     rng = np.random.default_rng(seed)
     at = rng.permutation(n)[:count]
     slots = np.zeros(n, dtype=np.int8)
-    signs = (rng.random(count) < 0.5).astype(np.int8)
-    slots[at] = 2 * signs - 1  # in int8: an int64 product cast on assignment is slower
+    slots[at] = 1
+    slots[at[rng.random(count) >= 0.5]] = -1
     return slots
 
 

@@ -163,10 +163,10 @@ def run_session(
     outcomes = backtrack_frames(frames, receiver, d_committed_m=d_committed, rng=rng)
     for name, outcome in zip(("challenge", "response"), outcomes):
         state._log(f"frame {name}: {outcome.verdict}")
-    rejected = [o for o in outcomes if o.verdict != VERDICT_ACCEPTED]
-    if rejected:
-        verification_phase(state, rejected[0])
-        return state
+    for outcome in outcomes:
+        if outcome.verdict != VERDICT_ACCEPTED:
+            verification_phase(state, outcome)
+            return state
     # one attacked direction shifts the round trip by the arrival offset,
     # which enters the one-way time of flight halved
     toa_offset_ns = outcomes[1].toa_ns - frames[1].start_bin * frames[1].tp_ns

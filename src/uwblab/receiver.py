@@ -84,8 +84,8 @@ class DetectionOutcome:
 
     verdict is one of VERDICT_*, an attack meaning an aggregate over the
     ceiling; toa_ns names the earliest accepted candidate of an accepted code.
-    Diagnostics run in scan order (acquisition lock first, then earlier) as
-    read-only float64 vectors; pass_ratios holds nan where the vote never ran.
+    Diagnostics run in scan order (acquisition lock first) as read-only float64
+    vectors, kept as given if already so; pass_ratios is nan where no vote ran.
     """
 
     verdict: str
@@ -96,9 +96,11 @@ class DetectionOutcome:
 
     def __post_init__(self):
         for name in ("candidate_toas_ns", "aggregates", "pass_ratios"):
-            values = np.asarray(getattr(self, name), dtype=np.float64).view()
-            values.setflags(write=False)  # a view: the caller's array stays writeable
-            object.__setattr__(self, name, values)
+            given = getattr(self, name)
+            if type(given) is not np.ndarray or given.dtype != np.float64 or given.flags.writeable:
+                values = np.asarray(given, dtype=np.float64).view()
+                values.setflags(write=False)  # a view: the caller's array stays writeable
+                object.__setattr__(self, name, values)
 
 
 def compute_thresholds(link: LinkModel, params: CodeParams, d_committed_m: float) -> Thresholds:
@@ -215,7 +217,7 @@ def _subset_sums(e, r: int, upsilon: int, rng) -> np.ndarray:
     buf = np.empty_like(sums) if r > 1 else None
     for i, t in enumerate(_floyd_picks(n, r, rows, upsilon, rng)):
         np.add(t, base, out=idx)
-        np.take(flat, idx, out=buf if i else sums, mode="wrap")
+        flat.take(idx, out=buf if i else sums, mode="wrap")
         if i:
             sums += buf
     return sums
@@ -254,9 +256,10 @@ def backtrack_frames(timelines, cfg: ReceiverConfig, d_committed_m: float | None
     """Scan earlier alignments of a batch of frames for hidden authentic copies.
 
     One DetectionOutcome per frame, read with its own code; the frames share
-    one code geometry and one link, whose thresholds (for d_committed_m, by
-    default d1_m + d2_m) they all use. In each frame candidate starts step
-    back from the acquisition lock one bin (tp_ns) at a time:
+    one code geometry and one link (equal, not only one object), whose
+    thresholds (for d_committed_m, by default d1_m + d2_m) they all use; an
+    empty batch is refused. In each frame candidate starts step back from
+    the acquisition lock one bin (tp_ns) at a time:
     int(backtrack_window_ns / tp_ns) + 1 of them, at most stride (a replay
     trails by less than one slot spacing, and a start a whole spacing back
     reads the code shifted by whole slots), and only down to bin 0, lead_ns
@@ -265,40 +268,47 @@ def backtrack_frames(timelines, cfg: ReceiverConfig, d_committed_m: float | None
     floor are skipped; the rest take the code vote. A frame's earliest accepted
     candidate wins, since a replayed copy can only trail the authentic one.
     One pass_ratios call on rng votes every frame's candidates, in frame
-    order and then scan order. Diagnostics are slices of the scan, not copies.
+    order and then scan order. Diagnostics are read-only slices of the batch's.
     """
+    if not timelines:
+        raise ValueError("an empty batch has no frame to backtrack")
     params, link = timelines[0].code.params, timelines[0].link
-    if any(tl.code.params != params or tl.link != link for tl in timelines):
+    if any(tl.code.params is not params and tl.code.params != params
+           or tl.link is not link and tl.link != link for tl in timelines[1:]):
         raise ValueError("frames of one batch must share a code geometry and a link")
     if d_committed_m is None:
         d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
+    n_steps = min(int(cfg.backtrack_window_ns / params.tp_ns), params.stride - 1)
 
     scans, parts = [], []
     for timeline in timelines:
-        n_steps = min(int(cfg.backtrack_window_ns / timeline.tp_ns), params.stride - 1)
         lock, rows = timeline.lock_bin, timeline.rows
         if not 0 <= lock < rows.shape[1]:
             raise ValueError("timeline does not reach the acquisition lock")
-        starts = np.arange(lock, -1, -1)[: n_steps + 1]
-        energies = np.square(rows[:, starts[-1]:lock + 1].T[::-1], order="C")
-        aggregates = energies.sum(axis=1)
+        energies = np.square(rows[:, max(0, lock - n_steps):lock + 1].T[::-1], order="C")
+        aggregates = np.add.reduce(energies, axis=1)
         # the scan aborts at the first over-ceiling candidate, in scan order
-        hot = np.nonzero(aggregates > thresholds.gamma_upper)[0]
-        scanned = int(hot[0]) + 1 if len(hot) else len(starts)
-        # pulse bin first, as pass_ratios reads its columns
-        parts.append(energies[:scanned, np.concatenate(bins(timeline.code))])
-        scans.append((starts[:scanned] * timeline.tp_ns, aggregates[:scanned], len(hot) > 0))
+        hot = (aggregates > thresholds.gamma_upper).nonzero()[0]
+        scanned = int(hot[0]) + 1 if len(hot) else len(aggregates)
+        # pulse bin first, as pass_ratios reads them: np.concatenate(bins(code)) in one call
+        parts.append(energies[:scanned, (timeline.code.slots == 0).argsort(kind="stable")])
+        scans.append((np.arange(lock, lock - scanned, -1), aggregates[:scanned], len(hot) > 0))
+    starts, aggs, hots = zip(*scans)
+    toas, aggregates = np.concatenate(starts) * params.tp_ns, np.concatenate(aggs)
     ratios = pass_ratios(np.concatenate(parts), params.alpha, thresholds, cfg, rng,
-                         aggregates=np.concatenate([s[1] for s in scans]))
+                         aggregates=aggregates)
+    for scan in (toas, aggregates, ratios):
+        scan.setflags(write=False)
 
     outcomes, lo = [], 0
-    for toas, aggregates, hot in scans:
-        frame_ratios, lo = ratios[lo:lo + len(toas)], lo + len(toas)
-        accepted = toas[frame_ratios > cfg.p_noise_threshold]
+    for frame_starts, hot in zip(starts, hots):
+        span, lo = slice(lo, lo + len(frame_starts)), lo + len(frame_starts)
+        accepted = toas[span][ratios[span] > cfg.p_noise_threshold]
         verdict = VERDICT_ATTACK if hot else VERDICT_ACCEPTED if len(accepted) else VERDICT_NO_CODE
-        toa = float(accepted.min()) if verdict == VERDICT_ACCEPTED else None
-        outcomes.append(DetectionOutcome(verdict, toa, toas, aggregates, frame_ratios))
+        # scan order steps back in time, so the last accepted candidate is the earliest
+        toa = float(accepted[-1]) if verdict == VERDICT_ACCEPTED else None
+        outcomes.append(DetectionOutcome(verdict, toa, toas[span], aggregates[span], ratios[span]))
     return outcomes
 
 

@@ -108,8 +108,8 @@ def test_plan_csv_schema():
     assert len(lines) == 5
 
 
-@pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int8(-128), np.int64(255), 0.5],
-                         ids=str)
+@pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int8(127), np.int8(-128),
+                                 np.int64(255), 0.5], ids=str)
 def test_plan_rejects_phase_outside_plus_minus_one(bad):
     # 0 is legal (no injection); abs(-128) is -128 in int8, and the int8
     # cast must neither wrap 255 to -1 nor truncate 0.5 to 0

@@ -1,5 +1,6 @@
 """Path loss, link budget, and received-frame synthesis."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -135,6 +136,34 @@ def test_superpose_rows_are_the_pipeline_frames():
             replay = replay_frame(tl, delay_ns, gain_db)
             assert np.array_equal(copy, replay.amplitudes[replay.slot_bins(tl.start_bin + shift)])
 
+
+
+@pytest.mark.parametrize("gain_db", [0.0, 6.0])
+@pytest.mark.parametrize("dtype", [np.int8, np.float64])
+def test_scalar_zero_phases_match_a_zero_phase_row(dtype, gain_db):
+    # the scalar 0 skips the adversary term; signs times a positive amplitude
+    # is never -0.0, so adding 0.0 would have changed no bit
+    link = LinkModel()
+    params = CodeParams(n=12, alpha=4, beta=8, r=2)
+    signs = np.array([generate_code(params, seed).slots for seed in range(6)]).astype(dtype)
+    skipped = superpose(link, signs, 0, gain_db)
+    added = superpose(link, signs, np.zeros_like(signs), gain_db)
+    assert skipped.dtype == added.dtype == np.float64
+    assert skipped.tobytes() == added.tobytes()
+
+
+def test_link_amplitudes_are_kept_outside_eq_hash_and_repr():
+    link = LinkModel(d1_m=7.0, sigma_n2=1e-7)
+    assert link.auth_amp == math.sqrt(worst_case_rx_power(link))
+    assert link.adv_amp == math.sqrt(adversary_rx_power(link))
+    # a replaced link computes its own amplitudes
+    moved = dataclasses.replace(link, d3_m=2.0, p_sent=3.0)
+    assert moved.auth_amp == math.sqrt(worst_case_rx_power(moved)) != link.auth_amp
+    assert moved.adv_amp == math.sqrt(adversary_rx_power(moved)) != link.adv_amp
+    # a link whose amplitudes were never read equals the warmed one
+    cold = LinkModel(d1_m=7.0, sigma_n2=1e-7)
+    assert "auth_amp" not in vars(cold) and "auth_amp" in vars(link)
+    assert cold == link and hash(cold) == hash(link) and repr(cold) == repr(link)
 
 def test_noise_statistics():
     params = CodeParams(n=4000, alpha=1000, beta=3000)

@@ -614,6 +614,35 @@ def test_batch_needs_one_code_geometry_and_a_code_per_frame():
     assert len(backtrack_frames(frames, BATCH_CFG, rng=np.random.default_rng(0))) == 2
 
 
+
+def test_empty_batch_is_refused():
+    with pytest.raises(ValueError, match="empty"):
+        backtrack_frames([], BATCH_CFG, rng=np.random.default_rng(0))
+
+
+def test_backtracking_reads_the_pulse_bin_first(monkeypatch):
+    # the rows backtracking hands to pass_ratios hold each candidate's slot
+    # energies in the order np.concatenate(bins(code)), beta = 0 included
+    seen = []
+
+    def capture(energies, alpha, thresholds, cfg, rng, aggregates=None):
+        seen.append(energies)
+        return np.full(len(energies), np.nan)
+
+    monkeypatch.setattr(receiver, "pass_ratios", capture)
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 5, 12, 31):
+        for beta in sorted({0, n // 2, n - 1}):
+            params = CodeParams(n=n, alpha=n - beta, beta=beta, ts_ns=100.0, tp_ns=2.0, r=1)
+            for _ in range(4):
+                code = generate_code(params, rng)
+                tl = synthesize_timeline(code, BATCH_LINK, noise_seed=rng, lead_ns=40.0)
+                seen.clear()
+                out = backtrack_detect(tl, BATCH_CFG, rng=rng)
+                starts = np.rint(out.candidate_toas_ns / params.tp_ns).astype(int)
+                want = np.array([tl.amplitudes[tl.slot_bins(s)] ** 2 for s in starts])
+                assert np.array_equal(seen[0], want[:, np.concatenate(bins(code))])
+
 def test_outcome_csv_schema():
     params = small_params()
     code = generate_code(params, seed=2)
@@ -649,6 +678,14 @@ def test_outcome_diagnostics_are_read_only():
     given[0] = 1.0
     assert built.aggregates[0] == 1.0
 
+
+
+def test_outcome_keeps_a_read_only_float64_array():
+    frozen = np.arange(3.0)
+    frozen.setflags(write=False)
+    out = DetectionOutcome(VERDICT_NO_CODE, None, frozen, frozen, frozen)
+    assert out.candidate_toas_ns is frozen and out.aggregates is frozen
+    assert out.pass_ratios is frozen
 
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(0, 2**32), st.integers(0, 2**32), st.integers(0, 2**32),
