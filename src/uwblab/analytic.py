@@ -18,7 +18,10 @@ in Fractions. Both paths agree to ~1e-12 relative.
 prob_success sums over the attacker's annihilation count g inside each
 pulse-bin draw, by C(x,g) C(g,y1) C(x-g,y2) = C(x,y1+y2) C(y1+y2,y1)
 C(x-y1-y2,g-y1): the g-terms collapse to one Binomial(x-y1-y2, 1/2) tail,
-so a game costs O(r^2) draw terms per x rather than O(x r^2).
+so a game costs O(r^2) draw terms per x rather than O(x r^2). Those terms
+(_pulse_terms) and the empty bin's tail rows (_draw_tail) depend on neither k
+nor zeta, so each is cached per bin split; a call only reads, masks, weights
+and sums the rows its x-range needs.
 
 Argument conventions:
     alpha  pulse slots, beta empty slots, n = alpha + beta
@@ -32,7 +35,7 @@ Argument conventions:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, exp, fsum, isinf, lgamma, log
+from math import comb, exp, floor, fsum, isinf, lgamma, log
 
 HALF_LOG = log(2.0)
 
@@ -75,7 +78,7 @@ def hypergeom(na: int, nb: int, ka: int, kb: int, exact: bool = False):
     Out-of-range counts (ka > na, negative values, ...) give probability 0,
     which lets callers sum over unconstrained index ranges.
     """
-    if min(na, nb, ka, kb) < 0 or ka > na or kb > nb:
+    if not (0 <= ka <= na and 0 <= kb <= nb):
         return _total((), exact)
     return _weight(exact, ((na, ka), (nb, kb)), ((na + nb, ka + kb),))
 
@@ -88,6 +91,25 @@ def _draw_pmf(hit: int, miss: int, r: int, exact: bool) -> tuple:
     zero = _total((), exact)
     support = (hypergeom(hit, miss, i, r - i, exact) for i in range(lo, hi + 1))
     return (zero,) * lo + tuple(support) + (zero,) * (r - hi)
+
+
+@lru_cache(maxsize=4096)
+def _draw_tail(hit: int, miss: int, r: int, exact: bool, upper: bool) -> tuple:
+    """P(draw >= i) if upper else P(draw <= i), over i = 0..r, for _draw_pmf's draw."""
+    pmf = _draw_pmf(hit, miss, r, exact)
+    return tuple(accumulate(reversed(pmf)))[::-1] if upper else tuple(accumulate(pmf))
+
+
+@lru_cache(maxsize=4096)
+def _pulse_terms(hit: int, miss: int, r: int, exact: bool) -> tuple:
+    """(pulse[s] * halves[y1], i, s, y1) of each pulse draw an empty draw can beat.
+
+    A pulse draw of s hit slots, y1 annihilated and s - y1 doubled, holds
+    r + 3s - 4 y1 energy; an empty draw beats it from i = r + 3s + 1 - 4 y1 hits."""
+    pulse = _draw_pmf(hit, miss, r, exact)
+    return tuple((pulse[s] * _half_pmf(s, exact)[y1], r + 3 * s + 1 - 4 * y1, s, y1)
+                 for s in range(max(0, r - miss), min(r, hit) + 1)
+                 for y1 in range(3 * s // 4 + 1, s + 1))
 
 
 @lru_cache(maxsize=4096)
@@ -137,29 +159,23 @@ def prob_success(
     _check_game(alpha, beta, r, k)
     if not zeta >= 0:  # nan fails too
         raise ValueError("headroom ratio zeta must be >= 0")
-    budget = None if isinf(zeta) else alpha * (zeta - 1.0)
+    # the audit's total is an integer, so it passes exactly when it is at most cap
+    budget = alpha * (zeta - 1.0)
+    cap = None if isinf(budget) else floor(budget)
     terms = []
     for x in range(max(0, k - beta), min(k, alpha) + 1):
         w = hypergeom(alpha, beta, x, k - x, exact)
-        g0 = 0 if budget is None else next(
-            (g for g in range(x + 1) if k + 2 * x - 4 * g <= budget), x + 1)
+        g0 = 0 if cap is None else max(0, (k + 2 * x - cap + 3) // 4)
         if w == 0 or g0 > x:
             continue
-        beta_tail = list(accumulate(reversed(_draw_pmf(k - x, beta - (k - x), r, exact))))[::-1]
-        # s of the r slots drawn from the pulse bin were hit, y1 of those annihilated
-        pulse = _draw_pmf(x, alpha - x, r, exact)
-        draws = []
-        for s in range(max(0, r - alpha + x), min(r, x) + 1):
-            halves = _half_pmf(s, exact)
-            # the empty draw (at most r) must beat the pulse draw's
-            # r + 3s - 4 y1, and g - y1 must have room in [g0 - y1, x - s]
-            for y1 in range(max(3 * s // 4 + 1, g0 - x + s), s + 1):
-                tail = beta_tail[r + 3 * s + 1 - 4 * y1]
-                if tail == 0:
-                    continue
-                if g0 > y1:
-                    tail = tail * _half_tail(x - s, g0 - y1, exact)
-                draws.append(pulse[s] * halves[y1] * tail)
+        tail = _draw_tail(k - x, beta - (k - x), r, exact, True)
+        rows = _pulse_terms(x, alpha - x, r, exact)
+        if g0 == 0:  # the audit masks and discounts no draw
+            draws = [head * tail[i] for head, i, _, _ in rows]
+        else:
+            # g - y1 must have room in [g0 - y1, x - s]
+            draws = [head * (tail[i] if g0 <= y1 else tail[i] * _half_tail(x - s, g0 - y1, exact))
+                     for head, i, s, y1 in rows if y1 >= g0 - x + s and tail[i] != 0]
         terms.append(w * _total(draws, exact))
     return _total(terms, exact)
 
@@ -182,7 +198,7 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
             continue
         # the pulse draw passes when it holds at least as many high slots
         pulse = _draw_pmf(x, alpha - x, r, exact)
-        beta_cdf = list(accumulate(_draw_pmf(kappa - x, beta - (kappa - x), r, exact)))
+        beta_cdf = _draw_tail(kappa - x, beta - (kappa - x), r, exact, False)
         ys = range(max(0, r - (alpha - x)), min(r, x) + 1)
         terms.append(w * _total((pulse[y] * beta_cdf[y] for y in ys), exact))
     return _total(terms, exact)
@@ -191,9 +207,10 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
 def appendix_prob_delta(n: int, alpha: int, k: int, delta: int, exact: bool = False):
     """pmf of the attacker's net aggregate change after k random injections.
 
-    delta counts unit-power energy added to the frame: each injection adds 1
-    except a sign-matched hit on a pulse slot, which removes 1 instead of
-    adding (net -1 versus +1, so (k - delta)/2 of the in-bin hits cancelled).
+    The game is power-additive: each injection adds 1 unit of energy except a
+    cancelling hit on a pulse slot, which removes 1 ((k - delta)/2 of the
+    in-bin hits cancelled). The channel adds amplitudes: an equal-phase hit
+    takes a pulse slot from 1 to 4 (+3), as prob_success's audit counts.
     Odd k - delta or |delta| > k is impossible and returns 0.
     """
     if not 0 <= alpha <= n or n < 1:
@@ -216,7 +233,8 @@ def appendix_prob_within_threshold(
 
     Sums the delta pmf up to alpha (gamma_factor - 1), the largest net energy
     addition the budget tolerates; gamma_factor is the budget expressed as a
-    multiple of the honest frame's aggregate.
+    multiple of the honest frame's aggregate. It plays appendix_prob_delta's
+    game, not the channel's: 0.0493 at n 150, alpha 50, k 50, gamma 1.5, simulated 0.0015.
     """
     if not gamma_factor >= 0:  # nan fails too
         raise ValueError("gamma_factor must be >= 0")

@@ -93,7 +93,8 @@ def _link_from(args) -> LinkModel:
 
 def cmd_analytic(args) -> int:
     alpha, beta, r = args.alpha, args.beta, args.r
-    lines = ["# schema=1", "# formula=" + args.formula, "k,p"]
+    lines = ["# schema=1", "# formula=" + args.formula,
+             "delta,p" if args.formula == "pdelta" else "k,p"]
     if args.formula in ("pevade", "psa"):
         for k in _k_grid(args, alpha + beta):
             if args.formula == "pevade":
@@ -111,7 +112,7 @@ def cmd_analytic(args) -> int:
         n = alpha + beta if args.n is None else args.n
         k = alpha if args.k is None else args.k
         if args.formula == "pdelta":
-            for delta in range(0, k + 1):
+            for delta in range(-k, k + 1):
                 lines.append(
                     "%d,%.12g" % (delta, analytic.appendix_prob_delta(n, alpha, k, delta))
                 )

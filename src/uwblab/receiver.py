@@ -10,9 +10,10 @@ same code on the timeline that the acquisition lock skipped (backtracking)?
 pass_ratios() answers the first two for a batch of candidate frames, voting
 through vote(); backtracking and the attack and noise games share both.
 
-An aggregate above the ceiling is treated as a hard alarm: no honest channel
-can add energy, so surplus energy is evidence of injected pulses regardless
-of what the rest of the frame looks like.
+An aggregate above the ceiling alpha (lambda_b + sigma)^2 + beta sigma^2 raises an
+alarm, whatever the rest of the frame looks like. Under noise that is no hard
+bound (an honest undegraded link at C11's geometry and SNR 64 alarms in 54 of
+1,000 sessions), so surplus energy is evidence of injection only beyond that rate.
 """
 
 import math

@@ -7,11 +7,21 @@ injections landed, has no counterpart in the library: mixed over placements
 and signs it must equal prob_evade_rcv, and success_probability is that
 mixture. The literal_* variants grind over every raw outcome with itertools
 and exist to validate the class-counting versions on tiny instances.
+
+The per_x_* references are the exception: they are prob_success and
+prob_noise_pass summed term by term, each x building its own draw terms from
+the library's pmf helpers, in either arithmetic. The library reads the same
+terms from cached rows that depend on neither k nor zeta; every term is the
+same product and each x is summed the same way (fsum is correctly rounded),
+so the two must agree bit for bit, not just to round-off.
 """
 
 import itertools
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, isinf
+
+from uwblab.analytic import _draw_pmf, _half_pmf, _half_tail, _total, hypergeom
 
 
 def _hyper(good: int, bad: int, want_good: int, draw: int) -> Fraction:
@@ -135,3 +145,46 @@ def literal_noise_pass_probability(alpha: int, beta: int, r: int, kappa: int) ->
                     total += 1
     picks = comb(alpha, r) * comb(beta, r)
     return total / (comb(n, kappa) * picks)
+
+
+def per_x_success(alpha: int, beta: int, r: int, zeta: float, k: int, exact: bool = False):
+    """prob_success with every x building its own draw terms (no cached rows)."""
+    budget = None if isinf(zeta) else alpha * (zeta - 1.0)
+    terms = []
+    for x in range(max(0, k - beta), min(k, alpha) + 1):
+        w = hypergeom(alpha, beta, x, k - x, exact)
+        g0 = 0 if budget is None else next(
+            (g for g in range(x + 1) if k + 2 * x - 4 * g <= budget), x + 1)
+        if w == 0 or g0 > x:
+            continue
+        beta_tail = list(accumulate(reversed(_draw_pmf(k - x, beta - (k - x), r, exact))))[::-1]
+        # s of the r slots drawn from the pulse bin were hit, y1 of those annihilated
+        pulse = _draw_pmf(x, alpha - x, r, exact)
+        draws = []
+        for s in range(max(0, r - alpha + x), min(r, x) + 1):
+            halves = _half_pmf(s, exact)
+            # the empty draw (at most r) must beat the pulse draw's
+            # r + 3s - 4 y1, and g - y1 must have room in [g0 - y1, x - s]
+            for y1 in range(max(3 * s // 4 + 1, g0 - x + s), s + 1):
+                tail = beta_tail[r + 3 * s + 1 - 4 * y1]
+                if tail == 0:
+                    continue
+                if g0 > y1:
+                    tail = tail * _half_tail(x - s, g0 - y1, exact)
+                draws.append(pulse[s] * halves[y1] * tail)
+        terms.append(w * _total(draws, exact))
+    return _total(terms, exact)
+
+
+def per_x_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = False):
+    """prob_noise_pass with every x building its own empty-bin cdf (no cached rows)."""
+    terms = []
+    for x in range(max(0, kappa - beta), min(kappa, alpha) + 1):
+        w = hypergeom(alpha, beta, x, kappa - x, exact)
+        if w == 0:
+            continue
+        pulse = _draw_pmf(x, alpha - x, r, exact)
+        beta_cdf = list(accumulate(_draw_pmf(kappa - x, beta - (kappa - x), r, exact)))
+        ys = range(max(0, r - (alpha - x)), min(r, x) + 1)
+        terms.append(w * _total((pulse[y] * beta_cdf[y] for y in ys), exact))
+    return _total(terms, exact)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from oracles import (evade_probability, literal_evade_probability,
                      literal_noise_pass_probability, noise_pass_probability,
-                     p_inner, success_probability)
+                     p_inner, per_x_noise_pass, per_x_success, success_probability)
+from uwblab import analytic
 from uwblab.analytic import (appendix_prob_delta, appendix_prob_within_threshold,
                              prob_evade_rcv, prob_noise_pass, prob_success)
 
@@ -204,6 +205,73 @@ def test_appendix_threshold_monotone():
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     # once the budget swallows every possible gain the bound is certain
     assert appendix_prob_within_threshold(20, 8, 10, 2.5) == pytest.approx(1.0)
+
+
+# the overlay of `uwblab validate`: alpha 50, beta 50 and 150, r 1, 2 and 8
+VALIDATE_POINTS = [(50, b, r, float("inf"), k) for b in (50, 150) for r in (1, 2, 8)
+                   for k in range(0, 51 + b, (50 + b) // 10)]
+C02_POINTS = [(50, 500, 50, 20.0, k) for k in range(551)]
+BUDGET_SWEEP = [(50, 150, 8, z, k) for z in (1.2, 1.4, 2.0, 5.0) for k in range(201)]
+C01_GRID = [(80, 100, 80, kappa) for kappa in range(181)]
+
+
+def _clear_caches():
+    for obj in vars(analytic).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+@pytest.mark.parametrize("points, exact_every", [
+    (VALIDATE_POINTS, 1), (C02_POINTS, 50), (BUDGET_SWEEP, 10)],
+    ids=["validate", "c02", "budget-sweep"])
+def test_success_reads_the_per_x_terms_bit_for_bit(points, exact_every):
+    # cached k-free rows hold the same products; fsum is correctly rounded,
+    # so the floats are equal, not merely close
+    for args in points:
+        assert prob_success(*args) == per_x_success(*args), args
+    for args in points[::exact_every]:
+        assert prob_success(*args, exact=True) == per_x_success(*args, exact=True), args
+
+
+def test_noise_pass_reads_the_per_x_terms_bit_for_bit():
+    for args in C01_GRID:
+        assert prob_noise_pass(*args) == per_x_noise_pass(*args), args
+    for args in C01_GRID[::10]:
+        assert prob_noise_pass(*args, exact=True) == per_x_noise_pass(*args, exact=True), args
+
+
+@PROPERTY
+@given(games(), ZETAS)
+def test_small_games_read_the_per_x_terms_bit_for_bit(game, zeta):
+    a, b, r, k = game
+    for exact in (False, True):
+        assert prob_success(a, b, r, zeta, k, exact) == per_x_success(a, b, r, zeta, k, exact)
+        assert prob_noise_pass(a, b, r, k, exact) == per_x_noise_pass(a, b, r, k, exact)
+
+
+def test_cached_rows_do_not_depend_on_call_order():
+    # exact and float calls over two (alpha, r) and two (beta, r), interleaved
+    calls = [(f, args, exact) for exact in (False, True)
+             for f, args in ((prob_success, (20, 30, 4, 2.0, 25)),
+                             (prob_evade_rcv, (12, 30, 3, 20)),
+                             (prob_noise_pass, (20, 18, 3, 15)),
+                             (prob_success, (12, 18, 4, 1.4, 11)),
+                             (prob_evade_rcv, (20, 30, 4, 33)))]
+    _clear_caches()
+    forward = [f(*args, exact=exact) for f, args, exact in calls]
+    _clear_caches()
+    backward = [f(*args, exact=exact) for f, args, exact in reversed(calls)]
+    assert forward == backward[::-1]
+    assert all(type(p) is (Fraction if exact else float)
+               for p, (_, _, exact) in zip(forward, calls))
+
+
+def test_a_cold_call_builds_only_the_rows_it_reads():
+    # x runs over 0..50, so at most 51 of the 501 empty-bin rows of beta 500
+    _clear_caches()
+    prob_success(50, 500, 50, 10.0, 496)
+    assert 0 < analytic._draw_tail.cache_info().currsize <= 51
+    assert 0 < analytic._pulse_terms.cache_info().currsize <= 51
 
 
 def _assert_tracks(approx, exact):

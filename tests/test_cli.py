@@ -64,11 +64,14 @@ def test_analytic_pdelta_rows(capsys):
     code, out, _ = run_cli(capsys, "analytic", "--formula", "pdelta",
                            "--alpha", "3", "--beta", "5", "--n", "8", "--k", "4")
     assert code == 0
-    rows = out.strip().split("\n")[3:]
-    assert len(rows) == 5
-    for line in rows:
-        delta_s, p_s = line.split(",")
+    lines = out.strip().split("\n")
+    assert lines[2] == "delta,p"
+    # the whole support, -k..k, so the printed pmf sums to one
+    rows = [line.split(",") for line in lines[3:]]
+    assert [int(d) for d, _ in rows] == list(range(-4, 5))
+    for delta_s, p_s in rows:
         assert float(p_s) == pytest.approx(appendix_prob_delta(8, 3, 4, int(delta_s)))
+    assert abs(sum(float(p) for _, p in rows) - 1.0) <= 1e-12
 
 
 def test_simulate_schema_and_byte_stability(tmp_path, capsys):
