@@ -169,13 +169,10 @@ def prob_success(
         if w == 0 or g0 > x:
             continue
         tail = _draw_tail(k - x, beta - (k - x), r, exact, True)
-        rows = _pulse_terms(x, alpha - x, r, exact)
-        if g0 == 0:  # the audit masks and discounts no draw
-            draws = [head * tail[i] for head, i, _, _ in rows]
-        else:
-            # g - y1 must have room in [g0 - y1, x - s]
-            draws = [head * (tail[i] if g0 <= y1 else tail[i] * _half_tail(x - s, g0 - y1, exact))
-                     for head, i, s, y1 in rows if y1 >= g0 - x + s and tail[i] != 0]
+        # g - y1 must have room in [g0 - y1, x - s]
+        draws = [head * (tail[i] if g0 <= y1 else tail[i] * _half_tail(x - s, g0 - y1, exact))
+                 for head, i, s, y1 in _pulse_terms(x, alpha - x, r, exact)
+                 if y1 >= g0 - x + s]
         terms.append(w * _total(draws, exact))
     return _total(terms, exact)
 
