@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodeParams, _draw_slots, _unit_slots
+from .codec import CodeParams, _csv, _draw_slots, _unit_slots
 from .channel import FrameTimeline, superpose
 
 
@@ -85,7 +85,4 @@ def replay_frame(timeline: FrameTimeline, delay_ns: float, gain_db: float) -> Fr
 
 def plan_to_csv(plan: AttackPlan) -> str:
     """CSV dump (slot, phase) of the injected slots in slot order, with a schema header."""
-    lines = ["# schema=1", "slot,phase"]
-    for s in plan.slots:
-        lines.append("%d,%d" % (s, plan.phases[s]))
-    return "\n".join(lines) + "\n"
+    return _csv("slot,phase", "%d,%d", ((s, plan.phases[s]) for s in plan.slots))

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .codec import VerificationCode
+from .codec import VerificationCode, _csv
 
 SPEED_OF_LIGHT_M_PER_NS = 0.2998
 
@@ -116,24 +116,22 @@ def superpose(link: LinkModel, signs, phases, gain_db: float):
     return frame
 
 
-def unity_link(sigma_n2: float = 0.0, d2_m: float = 4.5) -> LinkModel:
+def unity_link(sigma_n2: float = 0.0) -> LinkModel:
     """A link whose received sender and adversary pulses carry unit power.
 
     Transmit powers are back-solved from the path loss, so received powers
     are 1.0 up to float rounding. Handy for worked examples and tests where
     per-slot energies should read as small integers.
     """
-    link = LinkModel(sigma_n2=sigma_n2, d2_m=d2_m)
+    link = LinkModel(sigma_n2=sigma_n2)
     return replace(link, p_sent=1.0 / power_ratio(link.d1_m, link.e_db),
                    p_adv_sent=1.0 / power_ratio(link.d3_m, link.e_db))
 
 
 def signal_to_csv(amplitudes) -> str:
     """CSV dump (slot_index, amplitude, energy) of one frame's slot amplitudes."""
-    lines = ["# schema=1", "slot_index,amplitude,energy"]
-    for i, a in enumerate(amplitudes):
-        lines.append("%d,%.12g,%.12g" % (i, a, a * a))
-    return "\n".join(lines) + "\n"
+    return _csv("slot_index,amplitude,energy", "%d,%.12g,%.12g",
+                ((i, a, a * a) for i, a in enumerate(amplitudes)))
 
 
 @dataclass(frozen=True, eq=False)

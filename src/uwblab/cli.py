@@ -1,10 +1,11 @@
 """Command-line front end: sweeps, simulations, validation, worked example.
 
-Everything prints CSV (first line `# schema=1`) or a plain-text report, so
-plots come from external tooling. A flat key=value config file can preload
-any valued flag: each line `key = value` is parsed as the flag `--key=value`
-(underscores become dashes), and explicit flags win over it. Exit codes: 0
-success, 1 validation failure, 2 usage or parameter error.
+Everything prints a plain-text report or CSV in codec._csv's one form, made
+from all of a command's rows before anything is written, so plots come from
+external tooling. A flat key=value config file can preload any valued flag:
+each line `key = value` is parsed as the flag `--key=value` (underscores
+become dashes), and explicit flags win over it. Exit codes: 0 success, 1
+validation failure, 2 usage or parameter error.
 """
 
 import argparse
@@ -26,7 +27,7 @@ from .channel import (
     unity_link,
     worst_case_rx_power,
 )
-from .codec import CodeParams, code_from_line
+from .codec import CodeParams, _csv, code_from_line
 from .montecarlo import TrialConfig, run_grid, rows_to_csv
 from .protocol import run_session, session_trace
 from .receiver import (
@@ -93,35 +94,28 @@ def _link_from(args) -> LinkModel:
 
 def cmd_analytic(args) -> int:
     alpha, beta, r = args.alpha, args.beta, args.r
-    lines = ["# schema=1", "# formula=" + args.formula,
-             "delta,p" if args.formula == "pdelta" else "k,p"]
+    column, fmt = "k", "%d,%.12g"
     if args.formula in ("pevade", "psa"):
-        for k in _k_grid(args, alpha + beta):
-            if args.formula == "pevade":
-                p = analytic.prob_evade_rcv(alpha, beta, r, k)
-            elif args.zeta is None:
-                raise ValueError("psa needs --zeta")
-            else:
-                p = analytic.prob_success(alpha, beta, r, args.zeta, k)
-            lines.append("%d,%.12g" % (k, p))
+        ks = _k_grid(args, alpha + beta)
+        if args.formula == "pevade":
+            rows = [(k, analytic.prob_evade_rcv(alpha, beta, r, k)) for k in ks]
+        elif args.zeta is None:
+            raise ValueError("psa needs --zeta")
+        else:
+            rows = [(k, analytic.prob_success(alpha, beta, r, args.zeta, k)) for k in ks]
     elif args.formula == "pnoise":
         kappas = [args.kappa] if args.kappa is not None else _k_grid(args, alpha + beta)
-        for kappa in kappas:
-            lines.append("%d,%.12g" % (kappa, analytic.prob_noise_pass(alpha, beta, r, kappa)))
+        rows = [(kappa, analytic.prob_noise_pass(alpha, beta, r, kappa)) for kappa in kappas]
     else:
         n = alpha + beta if args.n is None else args.n
         k = alpha if args.k is None else args.k
         if args.formula == "pdelta":
-            for delta in range(-k, k + 1):
-                lines.append(
-                    "%d,%.12g" % (delta, analytic.appendix_prob_delta(n, alpha, k, delta))
-                )
+            column = "delta"
+            rows = [(d, analytic.appendix_prob_delta(n, alpha, k, d)) for d in range(-k, k + 1)]
         else:
-            gf = args.gamma_factor
-            lines.append(
-                "%.12g,%.12g" % (gf, analytic.appendix_prob_within_threshold(n, alpha, k, gf))
-            )
-    _write("\n".join(lines) + "\n", args.out)
+            column, fmt, gf = "gamma_factor", "%.12g,%.12g", args.gamma_factor
+            rows = [(gf, analytic.appendix_prob_within_threshold(n, alpha, k, gf))]
+    _write(_csv(column + ",p", fmt, rows, "formula=" + args.formula), args.out)
     return 0
 
 
@@ -184,13 +178,7 @@ VALIDATION_RS = (1, 2, 8)
 def cmd_validate(args) -> int:
     """Sweep the standard validation grid and check CI containment."""
     alpha = 50
-    lines = [
-        "# schema=1",
-        "# validation grid: alpha=50 beta in %s r in %s" % (VALIDATION_BETAS, VALIDATION_RS),
-        "alpha,beta,r,k,trials,successes,p_hat,ci_low,ci_high,analytic_p,within",
-    ]
-    total = 0
-    contained = 0
+    rows = []
     for beta in VALIDATION_BETAS:
         n = alpha + beta
         ks = tuple(range(0, n + 1, n // 10))
@@ -204,20 +192,15 @@ def cmd_validate(args) -> int:
                 metric="evade",
                 receiver=ReceiverConfig(r=r),
             )
-            for row in run_grid(cfg):
-                within = int(row.ci_low <= row.analytic_p <= row.ci_high)
-                total += 1
-                contained += within
-                lines.append(
-                    "%d,%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%d"
-                    % (
-                        alpha, beta, r, row.k, row.trials, row.successes,
-                        row.p_hat, row.ci_low, row.ci_high, row.analytic_p, within,
-                    )
-                )
-    fraction = contained / total
-    lines.append("# contained %d/%d (%.4f)" % (contained, total, fraction))
-    _write("\n".join(lines) + "\n", args.out)
+            rows += [(alpha, beta, r, row.k, row.trials, row.successes, row.p_hat, row.ci_low,
+                      row.ci_high, row.analytic_p, int(row.ci_low <= row.analytic_p <= row.ci_high))
+                     for row in run_grid(cfg)]
+    contained = sum(row[-1] for row in rows)
+    fraction = contained / len(rows)
+    table = _csv("alpha,beta,r,k,trials,successes,p_hat,ci_low,ci_high,analytic_p,within",
+                 "%d,%d,%d,%d,%d,%d,%.12g,%.12g,%.12g,%.12g,%d", rows,
+                 "validation grid: alpha=50 beta in %s r in %s" % (VALIDATION_BETAS, VALIDATION_RS))
+    _write(table + "# contained %d/%d (%.4f)\n" % (contained, len(rows), fraction), args.out)
     if fraction < 0.95:
         print(
             "validation failed: only %.1f%% of grid points contain the analytic value"
@@ -316,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_parser = partial(subs.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
     p_an = add_parser("analytic", help="evaluate probability formulas over a grid")
-    p_an.add_argument("--formula", choices=FORMULAS, required=True)
+    p_an.add_argument("--formula", choices=FORMULAS, required=True,
+                      help="closed form to print; pdelta and pthreshold play the power-additive "
+                           "game, +1 per non-cancelling hit, not the channel's +3")
     p_an.add_argument("--alpha", type=int, default=50, help="pulse slots")
     p_an.add_argument("--beta", type=int, default=100, help="empty slots")
     p_an.add_argument("--r", type=int, default=8, help="sample size per comparison")

@@ -107,6 +107,14 @@ def bins(code: VerificationCode) -> tuple[np.ndarray, np.ndarray]:
     return idx[occupied], idx[~occupied]
 
 
+def _csv(header: str, fmt: str, rows, *meta: str) -> str:
+    """The lab's one CSV form: `# schema=1`, a `# ` line per meta string, the
+    header, then fmt % row for each row, every line ending in a newline."""
+    lines = ["# schema=1", *("# " + line for line in meta), header]
+    lines.extend(fmt % row for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def code_to_line(code: VerificationCode) -> str:
     """One-line text form, e.g. '0,-1,0,0,1'."""
     return ",".join(str(int(v)) for v in code.slots)

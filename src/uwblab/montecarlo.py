@@ -26,13 +26,13 @@ boundaries and summing counts reproduces the sequential result bit for bit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import analytic, receiver
 from .channel import LinkModel, superpose
-from .codec import CodeParams
+from .codec import CodeParams, _csv
 from .receiver import ReceiverConfig, Thresholds, compute_thresholds, pass_ratios
 
 CHUNK = 4096
@@ -232,14 +232,7 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
 
 
 def rows_to_csv(rows, header_extra: str | None = None) -> str:
-    """CSV dump (k, trials, successes, p_hat, ci_low, ci_high, analytic_p)."""
-    lines = ["# schema=1"]
-    if header_extra:
-        lines.append("# " + header_extra)
-    lines.append("k,trials,successes,p_hat,ci_low,ci_high,analytic_p")
-    for row in rows:
-        lines.append(
-            "%d,%d,%d,%.12g,%.12g,%.12g,%.12g"
-            % (row.k, row.trials, row.successes, row.p_hat, row.ci_low, row.ci_high, row.analytic_p)
-        )
-    return "\n".join(lines) + "\n"
+    """CSV dump of the rows' fields in order; a non-empty header_extra is its meta line."""
+    return _csv("k,trials,successes,p_hat,ci_low,ci_high,analytic_p",
+                "%d,%d,%d,%.12g,%.12g,%.12g,%.12g", map(astuple, rows),
+                *([header_extra] if header_extra else []))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import CodeParams, VerificationCode, bins
+from .codec import CodeParams, VerificationCode, _csv, bins
 from .channel import FrameTimeline, LinkModel, expected_rx_power
 
 PLAUSIBILITY_NOISE = "noise"
@@ -324,9 +324,5 @@ def backtrack_detect(timeline: FrameTimeline, cfg: ReceiverConfig,
 
 def outcome_to_csv(outcome: DetectionOutcome) -> str:
     """CSV dump of per-candidate diagnostics with a schema header."""
-    lines = ["# schema=1", "candidate_toa_ns,aggregate,pass_ratio"]
-    for toa, agg, ratio in zip(
-        outcome.candidate_toas_ns, outcome.aggregates, outcome.pass_ratios
-    ):
-        lines.append("%.12g,%.12g,%.12g" % (toa, agg, ratio))
-    return "\n".join(lines) + "\n"
+    return _csv("candidate_toa_ns,aggregate,pass_ratio", "%.12g,%.12g,%.12g",
+                zip(outcome.candidate_toas_ns, outcome.aggregates, outcome.pass_ratios))

@@ -106,6 +106,10 @@ def test_plan_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "slot,phase"
     assert len(lines) == 5
+    # the whole text, and the header alone when nothing is injected
+    assert plan_to_csv(plan) == "# schema=1\nslot,phase\n4,1\n7,-1\n8,-1\n"
+    empty = plan_attack(CodeParams(n=10, alpha=3, beta=7, r=2), k=0, seed=1)
+    assert plan_to_csv(empty) == "# schema=1\nslot,phase\n"
 
 
 @pytest.mark.parametrize("bad", [np.int8(2), np.int8(-2), np.int8(127), np.int8(-128),

@@ -250,6 +250,14 @@ def test_signal_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "slot_index,amplitude,energy"
     assert len(lines) == 5
+    # the whole text of a noisy frame
+    noisy = frame_amps(code, unity_link(sigma_n2=0.01), noise_seed=4)
+    assert signal_to_csv(noisy) == (
+        "# schema=1\nslot_index,amplitude,energy\n"
+        "0,0.750237171264,0.562855813146\n"
+        "1,0.0129736175537,0.000168314752429\n"
+        "2,-1.09465725248,1.1982745004\n"
+    )
 
 
 def test_timeline_layout():

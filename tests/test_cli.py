@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from uwblab.analytic import appendix_prob_delta, prob_evade_rcv, prob_noise_pass, prob_success
+from uwblab.analytic import (appendix_prob_delta, appendix_prob_within_threshold, prob_evade_rcv,
+                             prob_noise_pass, prob_success)
 from uwblab.cli import _agreement_ok, main
 from uwblab.montecarlo import EstimateRow
 
@@ -74,6 +75,31 @@ def test_analytic_pdelta_rows(capsys):
     assert abs(sum(float(p) for _, p in rows) - 1.0) <= 1e-12
 
 
+def test_analytic_pthreshold_names_its_column(capsys):
+    # the one row is the ceiling factor's, not an injection count's
+    code, out, _ = run_cli(capsys, "analytic", "--formula", "pthreshold", "--alpha", "50",
+                           "--n", "150", "--k", "50", "--gamma-factor", "1.5")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[2] == "gamma_factor,p"
+    assert lines[3] == "%.12g,%.12g" % (1.5, appendix_prob_within_threshold(150, 50, 50, 1.5))
+
+
+@pytest.mark.parametrize("argv, head, last", [
+    (("pevade", "--alpha", "50", "--beta", "100", "--r", "8", "--k-max", "150"),
+     "k,p", "150,0.03515625"),
+    (("pnoise", "--alpha", "80", "--beta", "100", "--r", "80", "--k-max", "40",
+      "--k-step", "10"), "k,p", "40,0.537679154358"),
+    (("pdelta", "--alpha", "8", "--n", "20", "--k", "10"), "delta,p", "10,0.0845118443379"),
+], ids=("pevade", "pnoise", "pdelta"))
+def test_analytic_head_and_tail_bytes(capsys, argv, head, last):
+    code, out, _ = run_cli(capsys, "analytic", "--formula", *argv)
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[:3] == ["# schema=1", "# formula=" + argv[0], head]
+    assert lines[-2:] == [last, ""]
+
+
 def test_simulate_schema_and_byte_stability(tmp_path, capsys):
     argv = ["simulate", "--metric", "evade", "--alpha", "10", "--beta", "20",
             "--r", "2", "--k-min", "0", "--k-max", "30", "--k-step", "10",
@@ -136,6 +162,8 @@ def test_validate_small_grid(tmp_path, capsys):
     assert lines[2] == "alpha,beta,r,k,trials,successes,p_hat,ci_low,ci_high,analytic_p,within"
     assert lines[-1].startswith("# contained ")
     assert len(lines) == 4 + 66
+    assert lines[1] == "# validation grid: alpha=50 beta in (50, 150) r in (1, 2, 8)"
+    assert out.read_text().endswith("\n# contained 65/66 (0.9848)\n")
 
 
 def test_agreement_check_flags_outliers():

@@ -430,3 +430,14 @@ def test_rows_to_csv_schema():
     assert lines[1] == "# demo"
     assert lines[2] == "k,trials,successes,p_hat,ci_low,ci_high,analytic_p"
     assert lines[3].startswith("1,10,2,0.2,")
+    # the whole text: an empty or missing header_extra writes no line, and a
+    # row without an overlay prints nan
+    rows.append(EstimateRow(k=3, trials=4096, successes=17, p_hat=17 / 4096,
+                            ci_low=0.0026, ci_high=0.0066))
+    head = "# schema=1\n"
+    table = ("k,trials,successes,p_hat,ci_low,ci_high,analytic_p\n"
+             "1,10,2,0.2,0.05,0.5,0.25\n3,4096,17,0.004150390625,0.0026,0.0066,nan\n")
+    assert rows_to_csv(rows, header_extra="demo") == head + "# demo\n" + table
+    assert rows_to_csv(rows, header_extra="") == head + table
+    assert rows_to_csv(rows) == head + table
+    assert rows_to_csv([]) == head + "k,trials,successes,p_hat,ci_low,ci_high,analytic_p\n"

@@ -655,6 +655,13 @@ def test_outcome_csv_schema():
     assert lines[0] == "# schema=1"
     assert lines[1] == "candidate_toa_ns,aggregate,pass_ratio"
     assert len(lines) == 2 + len(out.candidate_toas_ns)
+    # the whole text, a candidate that was not voted on included
+    given = DetectionOutcome(VERDICT_NO_CODE, None, [4.0, 2.0, 0.0], [0.5, 12.25, 1e-9],
+                             [0.75, math.nan, 1 / 3])
+    assert outcome_to_csv(given) == (
+        "# schema=1\ncandidate_toa_ns,aggregate,pass_ratio\n"
+        "4,0.5,0.75\n2,12.25,nan\n0,1e-09,0.333333333333\n"
+    )
 
 
 def test_outcome_diagnostics_are_read_only():
