@@ -4,7 +4,7 @@ The package splits along the signal path: codec builds secret verification
 frames, channel attenuates and superposes them, adversary injects and
 replays, receiver thresholds and votes, analytic carries the closed-form
 attack probabilities, montecarlo estimates them empirically, and protocol
-ties both ranging phases into one session. The cli module fronts it all.
+plays a whole ranging session in one call. The cli module fronts it all.
 """
 
 from .analytic import (
@@ -27,7 +27,7 @@ from .channel import (
 )
 from .codec import CodeParams, VerificationCode, bins, code_from_line, code_to_line, generate_code
 from .montecarlo import EstimateRow, TrialConfig, false_positive_rate, run_grid, wilson_interval
-from .protocol import ProtocolState, commitment_phase, run_session, verification_phase
+from .protocol import ProtocolState, run_session
 from .receiver import (
     DetectionOutcome,
     ReceiverConfig,

@@ -20,8 +20,9 @@ pulse-bin draw, by C(x,g) C(g,y1) C(x-g,y2) = C(x,y1+y2) C(y1+y2,y1)
 C(x-y1-y2,g-y1): the g-terms collapse to one Binomial(x-y1-y2, 1/2) tail,
 so a game costs O(r^2) draw terms per x rather than O(x r^2). Those terms
 (_pulse_terms) and the empty bin's tail rows (_draw_tail) depend on neither k
-nor zeta, so each is cached per bin split; a call only reads, masks, weights
-and sums the rows its x-range needs.
+nor zeta, so each is cached per bin split, and the split of the injections
+over the two bins is one _draw_pmf row keyed on k; a call only reads,
+masks, weights and sums the rows its x-range needs.
 
 Argument conventions:
     alpha  pulse slots, beta empty slots, n = alpha + beta
@@ -162,9 +163,10 @@ def prob_success(
     # the audit's total is an integer, so it passes exactly when it is at most cap
     budget = alpha * (zeta - 1.0)
     cap = None if isinf(budget) else floor(budget)
+    split = _draw_pmf(alpha, beta, k, exact)  # x of the k injections land in the pulse bin
     terms = []
     for x in range(max(0, k - beta), min(k, alpha) + 1):
-        w = hypergeom(alpha, beta, x, k - x, exact)
+        w = split[x]
         g0 = 0 if cap is None else max(0, (k + 2 * x - cap + 3) // 4)
         if w == 0 or g0 > x:
             continue
@@ -188,9 +190,10 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
     (alpha, beta, r, kappa) = (80, 100, 80, 40).
     """
     _check_game(alpha, beta, r, kappa)
+    split = _draw_pmf(alpha, beta, kappa, exact)  # x of the kappa high slots land in the pulse bin
     terms = []
     for x in range(max(0, kappa - beta), min(kappa, alpha) + 1):
-        w = hypergeom(alpha, beta, x, kappa - x, exact)
+        w = split[x]
         if w == 0:
             continue
         # the pulse draw passes when it holds at least as many high slots

@@ -290,13 +290,20 @@ def _add_k_grid_flags(sub, k_help: str):
     sub.add_argument("--k-step", type=int, default=1, help="k grid spacing")
 
 
+class _DefaultsHelpFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends each flag's default to its help, except a default of None."""
+
+    def _get_help_string(self, action):
+        return action.help if action.default is None else super()._get_help_string(action)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwblab",
         description="energy-coded ranging laboratory: sweeps, simulations, walk-throughs",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    add_parser = partial(subs.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    add_parser = partial(subs.add_parser, formatter_class=_DefaultsHelpFormatter)
 
     p_an = add_parser("analytic", help="evaluate probability formulas over a grid")
     p_an.add_argument("--formula", choices=FORMULAS, required=True,

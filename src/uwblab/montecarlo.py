@@ -152,7 +152,7 @@ def _attack_successes(cfg: TrialConfig, k: int) -> int:
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha, beta = params.n, params.alpha, params.beta
     sigma = math.sqrt(link.sigma_n2)
-    thr = compute_thresholds(link, params, link.d1_m + link.d2_m)
+    thr = compute_thresholds(link, params)
     cut = rcfg.p_noise_threshold
     successes = 0
     for rng, m in _chunks(cfg.base_seed, k, cfg.trials):
@@ -216,7 +216,7 @@ def false_positive_rate(cfg: TrialConfig, thresholds: Thresholds | None = None) 
     params, link, rcfg = cfg.params, cfg.link, cfg.receiver
     n, alpha = params.n, params.alpha
     if thresholds is None:
-        thresholds = compute_thresholds(link, params, link.d1_m + link.d2_m)
+        thresholds = compute_thresholds(link, params)
     accepted = 0
     # every chunk draws into one buffer, so no chunk's noise lands on fresh pages
     buf = np.empty((min(CHUNK, cfg.trials), n))

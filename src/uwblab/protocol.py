@@ -1,17 +1,20 @@
 """Two-device ranging session: commit a distance, then verify it.
 
-The commitment phase yields an upper-bound time of flight that an adversary
-can only enlarge, never shrink. The verification phase re-measures the
-arrival of a coded frame, backtracking past the acquisition lock; the
-session alarms when the frame's energy is injected-hot, when no code can be
-verified at all, or when the re-measured time of flight disagrees with the
-committed one. All times are one-way equivalents in nanoseconds; a replay
-that delays one direction of a round trip by delta enlarges the one-way
-time by delta / 2.
+One session function, run_session, plays the defence's one rule. It
+commits to an upper-bound time of flight, which an adversary can only
+enlarge, never shrink, then re-measures the arrival of a coded frame,
+backtracking past the acquisition lock, and checks it against the
+commitment. The session alarms when the commitment is beyond range, when
+the frame's energy is injected-hot, when no code can be verified at all (it
+fails closed, with no arrival to corroborate the commitment), or when the
+re-measured time of flight disagrees with the committed one. ProtocolState
+is the record of a finished session. All times are one-way equivalents in
+nanoseconds; a replay that delays one direction of a round trip by delta
+enlarges the one-way time by delta / 2.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -25,91 +28,31 @@ from .receiver import (
     REASON_TOF,
     VERDICT_ACCEPTED,
     VERDICT_ATTACK,
-    DetectionOutcome,
     ReceiverConfig,
     backtrack_detect,  # noqa: F401 -- kept on protocol, where bench/ probes look it up
     backtrack_frames,
 )
 
-PHASE_IDLE = "idle"
-PHASE_COMMITTED = "committed"
 PHASE_VERIFIED = "verified"
 PHASE_ALARMED = "alarmed"
 
 
 @dataclass
 class ProtocolState:
-    """One ranging session's bookkeeping. Alarmed is terminal."""
+    """The record of one finished session: verified, or alarmed with its reason."""
 
     precision_ns: ClassVar[float] = 0.33  # the ranging precision, one for every session
-    t_max_tof_ns: float
-    t_commit_tof_ns: float | None = None
-    t_verify_tof_ns: float | None = None
-    phase: str = PHASE_IDLE
-    alarm_reason: str | None = None
-    trace: list = field(default_factory=list)
-
-    def _log(self, line: str):
-        self.trace.append(line)
-
-    def _alarm(self, reason: str):
-        self.phase = PHASE_ALARMED
-        self.alarm_reason = reason
-        self._log(f"alarm: {reason}")
+    t_commit_tof_ns: float
+    t_verify_tof_ns: float | None
+    phase: str
+    alarm_reason: str | None
+    trace: list
 
 
-def commitment_phase(state: ProtocolState, link: LinkModel, adversary_delay_ns: float = 0.0) -> float:
-    """Commit to an upper-bound time of flight.
-
-    The committed value is the true one-way time of flight plus whatever
-    delay the adversary managed to smuggle into the round trip (halved by
-    the caller). A commitment beyond the maximum communication range alarms
-    immediately.
-    """
-    if state.phase != PHASE_IDLE:
-        raise RuntimeError(f"commitment must start from idle, session is {state.phase}")
-    t_commit = link.d1_m / SPEED_OF_LIGHT_M_PER_NS + adversary_delay_ns
-    state.t_commit_tof_ns = t_commit
-    state._log(
-        "commit: t_tof=%.4f ns (d=%.3f m)"
-        % (t_commit, t_commit * SPEED_OF_LIGHT_M_PER_NS)
-    )
-    if t_commit > state.t_max_tof_ns:
-        state._alarm(REASON_RANGE)
-    else:
-        state.phase = PHASE_COMMITTED
-    return t_commit
-
-
-def verification_phase(
-    state: ProtocolState,
-    detection: DetectionOutcome,
-    t_verify_tof_ns: float = float("nan"),
-) -> str:
-    """Judge the session from the verification frame's detection outcome.
-
-    t_verify_tof_ns is the one-way time of flight the caller recovered from
-    the detection's time of arrival. An attack verdict (energy over the
-    ceiling) alarms REASON_ENERGY; a frame with no verifiable code fails
-    closed as a time-of-flight mismatch (there is no arrival to corroborate
-    the commitment); otherwise the committed and verified times must agree
-    within the ranging precision. Returns the resulting phase.
-    """
-    if state.phase == PHASE_ALARMED:
-        raise RuntimeError("session already alarmed")
-    if state.phase != PHASE_COMMITTED:
-        raise RuntimeError(f"verification requires a committed session, got {state.phase}")
-    if detection.verdict != VERDICT_ACCEPTED or math.isnan(t_verify_tof_ns):
-        state._alarm(REASON_ENERGY if detection.verdict == VERDICT_ATTACK else REASON_TOF)
-        return state.phase
-    state.t_verify_tof_ns = t_verify_tof_ns
-    state._log("verify: t_tof=%.4f ns" % t_verify_tof_ns)
-    if abs(state.t_commit_tof_ns - t_verify_tof_ns) > state.precision_ns:
-        state._alarm(REASON_TOF)
-    else:
-        state.phase = PHASE_VERIFIED
-        state._log("verified")
-    return state.phase
+def _alarmed(trace: list, t_commit: float, reason: str, t_verify: float | None = None):
+    """The record of a session that alarmed for reason, its trace ending on the alarm."""
+    trace.append(f"alarm: {reason}")
+    return ProtocolState(t_commit, t_verify, PHASE_ALARMED, reason, trace)
 
 
 def run_session(
@@ -122,15 +65,20 @@ def run_session(
     max_range_m: float = 100.0,
     receiver: ReceiverConfig | None = None,
 ) -> ProtocolState:
-    """Play out one full session, optionally under attack.
+    """Play out one full session, optionally under attack, and return its record.
 
-    replay_delay_ns > 0 replays the verification frames delayed by that
-    much (one attacked direction, so the committed one-way time inflates by
-    half the delay); a nan, infinite or negative delay is refused. k > 0
-    additionally injects k random-phase pulses over the authentic frame to
-    hide it from backtracking. Both directions of the verification exchange
-    run detection; the response direction carries the attack. Honest runs
-    end verified with commit and verify times equal.
+    The commitment is the true one-way time of flight plus half of
+    replay_delay_ns: replay_delay_ns > 0 replays the verification frames
+    delayed by that much (one attacked direction); a nan, infinite or
+    negative delay is refused. A commitment past max_range_m alarms
+    range_exceeded before any frame is drawn. k > 0 additionally injects k
+    random-phase pulses over the authentic frame to hide it from
+    backtracking. Both directions of the verification exchange run
+    detection; the response direction carries the attack. The first frame
+    not accepted alarms energy_exceeded on an attack verdict and
+    tof_mismatch otherwise; else the response's re-measured time of flight
+    must agree with the committed one within precision_ns. Honest runs end
+    verified with commit and verify times equal.
 
     One generator, default_rng(seed), draws both codes, the attack plan
     (under attack with k > 0), both frames' noise and only then one vote
@@ -144,12 +92,12 @@ def run_session(
         raise ValueError("replay_delay_ns must be finite and nonnegative, got %r" % replay_delay_ns)
     if receiver is None:
         receiver = ReceiverConfig(r=min(8, params.alpha, params.beta))
-    state = ProtocolState(t_max_tof_ns=max_range_m / SPEED_OF_LIGHT_M_PER_NS)
     attacked = replay_delay_ns > 0
-    commitment_phase(state, link, replay_delay_ns / 2.0 if attacked else 0.0)
-    if state.phase == PHASE_ALARMED:
-        return state
-    d_committed = state.t_commit_tof_ns * SPEED_OF_LIGHT_M_PER_NS
+    t_commit = link.d1_m / SPEED_OF_LIGHT_M_PER_NS + replay_delay_ns / 2.0
+    d_committed = t_commit * SPEED_OF_LIGHT_M_PER_NS
+    trace = ["commit: t_tof=%.4f ns (d=%.3f m)" % (t_commit, d_committed)]
+    if t_commit > max_range_m / SPEED_OF_LIGHT_M_PER_NS:
+        return _alarmed(trace, t_commit, REASON_RANGE)
 
     rng = np.random.default_rng(seed)
     codes = [generate_code(params, rng), generate_code(params, rng)]
@@ -161,18 +109,20 @@ def run_session(
         frames[1] = replay_frame(frames[1], replay_delay_ns, replay_gain_db)
 
     outcomes = backtrack_frames(frames, receiver, d_committed_m=d_committed, rng=rng)
-    for name, outcome in zip(("challenge", "response"), outcomes):
-        state._log(f"frame {name}: {outcome.verdict}")
+    trace += [f"frame {name}: {o.verdict}" for name, o in zip(("challenge", "response"), outcomes)]
     for outcome in outcomes:
         if outcome.verdict != VERDICT_ACCEPTED:
-            verification_phase(state, outcome)
-            return state
+            return _alarmed(trace, t_commit,
+                            REASON_ENERGY if outcome.verdict == VERDICT_ATTACK else REASON_TOF)
     # one attacked direction shifts the round trip by the arrival offset,
     # which enters the one-way time of flight halved
     toa_offset_ns = outcomes[1].toa_ns - frames[1].start_bin * frames[1].tp_ns
     t_verify = link.d1_m / SPEED_OF_LIGHT_M_PER_NS + toa_offset_ns / 2.0
-    verification_phase(state, outcomes[1], t_verify)
-    return state
+    trace.append("verify: t_tof=%.4f ns" % t_verify)
+    if abs(t_commit - t_verify) > ProtocolState.precision_ns:
+        return _alarmed(trace, t_commit, REASON_TOF, t_verify)
+    trace.append("verified")
+    return ProtocolState(t_commit, t_verify, PHASE_VERIFIED, None, trace)
 
 
 def session_trace(state: ProtocolState) -> str:

@@ -104,14 +104,17 @@ class DetectionOutcome:
                 object.__setattr__(self, name, values)
 
 
-def compute_thresholds(link: LinkModel, params: CodeParams, d_committed_m: float) -> Thresholds:
-    """Energy window for a frame claimed to come from d_committed_m away.
+def compute_thresholds(link: LinkModel, params: CodeParams,
+                       d_committed_m: float | None = None) -> Thresholds:
+    """Energy window for a frame claimed to come from d_committed_m away, by default d1_m + d2_m.
 
     The ceiling assumes every pulse arrives at the best-case power for the
     committed distance riding on top of a one-sigma noise amplitude, plus
     the noise energy of the empty slots; the floor is the mean noise energy
     of the whole frame. Committing to a larger distance lowers the ceiling.
     """
+    if d_committed_m is None:
+        d_committed_m = link.d1_m + link.d2_m
     if d_committed_m <= 0:
         raise ValueError("committed distance must be positive")
     lam_b = math.sqrt(expected_rx_power(link.p_sent, d_committed_m, 0.0))
@@ -277,8 +280,6 @@ def backtrack_frames(timelines, cfg: ReceiverConfig, d_committed_m: float | None
     if any(tl.code.params is not params and tl.code.params != params
            or tl.link is not link and tl.link != link for tl in timelines[1:]):
         raise ValueError("frames of one batch must share a code geometry and a link")
-    if d_committed_m is None:
-        d_committed_m = link.d1_m + link.d2_m
     thresholds = compute_thresholds(link, params, d_committed_m)
     n_steps = min(int(cfg.backtrack_window_ns / params.tp_ns), params.stride - 1)
 

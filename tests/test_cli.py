@@ -9,7 +9,7 @@ import pytest
 
 from uwblab.analytic import (appendix_prob_delta, appendix_prob_within_threshold, prob_evade_rcv,
                              prob_noise_pass, prob_success)
-from uwblab.cli import _agreement_ok, main
+from uwblab.cli import _agreement_ok, build_parser, main
 from uwblab.montecarlo import EstimateRow
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -285,6 +285,17 @@ def test_unknown_command_exits_2(capsys):
             main(argv)
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+
+def test_help_names_no_none_default(capsys):
+    # a flag whose default is None says what unset means in its own help, if anything
+    for command in ("analytic", "simulate", "validate", "example"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # undo the line wrapping
+        assert "(default: None)" not in text, command
+        assert "(default: " in text, command
 
 
 def test_python_dash_m_runs_the_cli():

@@ -1,4 +1,4 @@
-"""Full ranging sessions: honest verification, replay alarms, phase rules."""
+"""Full ranging sessions: honest verification, replay alarms, the fail-closed rule."""
 
 import dataclasses
 import math
@@ -11,20 +11,13 @@ from uwblab.adversary import plan_attack
 from uwblab.channel import (SPEED_OF_LIGHT_M_PER_NS, LinkModel, synthesize_timeline,
                             worst_case_rx_power)
 from uwblab.codec import CodeParams, generate_code
-from uwblab.protocol import (
-    PHASE_ALARMED,
-    PHASE_COMMITTED,
-    PHASE_VERIFIED,
-    ProtocolState,
-    commitment_phase,
-    run_session,
-    session_trace,
-    verification_phase,
-)
+from uwblab.protocol import PHASE_ALARMED, PHASE_VERIFIED, run_session, session_trace
 from uwblab.receiver import (
     REASON_ENERGY,
     REASON_RANGE,
     REASON_TOF,
+    VERDICT_ACCEPTED,
+    VERDICT_ATTACK,
     VERDICT_NO_CODE,
     DetectionOutcome,
     ReceiverConfig,
@@ -114,7 +107,7 @@ def test_overdriven_replay_alarms_on_energy():
     assert state.alarm_reason == REASON_ENERGY
 
 
-def test_commitment_beyond_range_alarms():
+def test_commitment_beyond_range_alarms(frame_calls):
     state = run_session(PARAMS, replay_link(), seed=0,
                         replay_delay_ns=60.0, max_range_m=65.0,
                         receiver=RCV)
@@ -122,26 +115,35 @@ def test_commitment_beyond_range_alarms():
     assert state.phase == PHASE_ALARMED
     assert state.alarm_reason == REASON_RANGE
     assert state.t_verify_tof_ns is None
+    assert frame_calls == []  # the range alarm detects no frame
 
 
-def test_phase_ordering_is_enforced():
-    state = ProtocolState(t_max_tof_ns=1000.0)
-    with pytest.raises(RuntimeError):
-        verification_phase(state, DetectionOutcome(verdict=VERDICT_NO_CODE))
-    commitment_phase(state, honest_link())
-    assert state.phase == PHASE_COMMITTED
-    with pytest.raises(RuntimeError):
-        commitment_phase(state, honest_link())
+def test_no_code_fails_closed(monkeypatch):
+    # a response with no verifiable code has no arrival to corroborate the commitment
+    def no_code_response(timelines, *args, **kwargs):
+        return [backtrack_frames(timelines, *args, **kwargs)[0],
+                DetectionOutcome(verdict=VERDICT_NO_CODE)]
 
-
-def test_no_code_fails_closed():
-    state = ProtocolState(t_max_tof_ns=1000.0)
-    commitment_phase(state, honest_link())
-    verification_phase(state, DetectionOutcome(verdict=VERDICT_NO_CODE))
+    monkeypatch.setattr(protocol, "backtrack_frames", no_code_response)
+    state = run_session(PARAMS, honest_link(), seed=1, receiver=RCV)
     assert state.phase == PHASE_ALARMED
     assert state.alarm_reason == REASON_TOF
-    with pytest.raises(RuntimeError):
-        verification_phase(state, DetectionOutcome(verdict=VERDICT_NO_CODE))
+    assert state.t_verify_tof_ns is None
+    assert session_trace(state).endswith("frame response: no_code_found\nalarm: tof_mismatch\n")
+
+
+def test_attacked_challenge_alarms_before_the_response_is_read(monkeypatch):
+    # the response carries no time of arrival, so reading it would raise
+    def attacked_challenge(timelines, *args, **kwargs):
+        return [DetectionOutcome(verdict=VERDICT_ATTACK), DetectionOutcome(verdict=VERDICT_ACCEPTED)]
+
+    monkeypatch.setattr(protocol, "backtrack_frames", attacked_challenge)
+    state = run_session(PARAMS, honest_link(), seed=1, receiver=RCV)
+    assert state.phase == PHASE_ALARMED
+    assert state.alarm_reason == REASON_ENERGY
+    assert state.t_verify_tof_ns is None
+    assert session_trace(state).endswith(
+        "frame challenge: attack_detected\nframe response: code_accepted\nalarm: energy_exceeded\n")
 
 
 def test_session_trace_lines():
