@@ -20,9 +20,10 @@ pulse-bin draw, by C(x,g) C(g,y1) C(x-g,y2) = C(x,y1+y2) C(y1+y2,y1)
 C(x-y1-y2,g-y1): the g-terms collapse to one Binomial(x-y1-y2, 1/2) tail,
 so a game costs O(r^2) draw terms per x rather than O(x r^2). Those terms
 (_pulse_terms) and the empty bin's tail rows (_draw_tail) depend on neither k
-nor zeta, so each is cached per bin split, and the split of the injections
-over the two bins is one _draw_pmf row keyed on k; a call only reads,
-masks, weights and sums the rows its x-range needs.
+nor zeta, so each is cached per bin split. _mix is the one outer sum: it
+weights each form's per-x term by the k injections' split over the bins, one
+_draw_pmf row keyed on k, and the threshold tail's term is one binomial tail
+of the cancels; a call reads, masks, weights and sums only the rows it needs.
 
 Argument conventions:
     alpha  pulse slots, beta empty slots, n = alpha + beta
@@ -36,7 +37,7 @@ Argument conventions:
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, exp, floor, fsum, isinf, lgamma, log
+from math import comb, exp, floor, fsum, isfinite, isinf, lgamma, log
 
 HALF_LOG = log(2.0)
 
@@ -125,6 +126,13 @@ def _half_tail(n: int, j0: int, exact: bool):
     return _total(_half_pmf(n, exact)[j0:], exact)
 
 
+def _mix(alpha: int, beta: int, k: int, exact: bool, term):
+    """Sum of P(x) term(x), x of k distinct uniform slots in the alpha; skips zero weights."""
+    lo = max(0, k - beta)  # the split's support is lo..min(k, alpha)
+    split = _draw_pmf(alpha, beta, k, exact)[lo:min(k, alpha) + 1]
+    return _total([w * term(x) for x, w in enumerate(split, lo) if w], exact)
+
+
 def _check_game(alpha: int, beta: int, r: int, k: int) -> None:
     if alpha < 1 or beta < 1:
         raise ValueError("need at least one pulse slot and one empty slot")
@@ -163,20 +171,17 @@ def prob_success(
     # the audit's total is an integer, so it passes exactly when it is at most cap
     budget = alpha * (zeta - 1.0)
     cap = None if isinf(budget) else floor(budget)
-    split = _draw_pmf(alpha, beta, k, exact)  # x of the k injections land in the pulse bin
-    terms = []
-    for x in range(max(0, k - beta), min(k, alpha) + 1):
-        w = split[x]
+
+    def term(x):
         g0 = 0 if cap is None else max(0, (k + 2 * x - cap + 3) // 4)
-        if w == 0 or g0 > x:
-            continue
+        if g0 > x:
+            return 0
         tail = _draw_tail(k - x, beta - (k - x), r, exact, True)
         # g - y1 must have room in [g0 - y1, x - s]
-        draws = [head * (tail[i] if g0 <= y1 else tail[i] * _half_tail(x - s, g0 - y1, exact))
-                 for head, i, s, y1 in _pulse_terms(x, alpha - x, r, exact)
-                 if y1 >= g0 - x + s]
-        terms.append(w * _total(draws, exact))
-    return _total(terms, exact)
+        return _total([head * (tail[i] if g0 <= y1 else tail[i] * _half_tail(x - s, g0 - y1, exact))
+                       for head, i, s, y1 in _pulse_terms(x, alpha - x, r, exact)
+                       if y1 >= g0 - x + s], exact)
+    return _mix(alpha, beta, k, exact, term)
 
 
 def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = False):
@@ -190,18 +195,21 @@ def prob_noise_pass(alpha: int, beta: int, r: int, kappa: int, exact: bool = Fal
     (alpha, beta, r, kappa) = (80, 100, 80, 40).
     """
     _check_game(alpha, beta, r, kappa)
-    split = _draw_pmf(alpha, beta, kappa, exact)  # x of the kappa high slots land in the pulse bin
-    terms = []
-    for x in range(max(0, kappa - beta), min(kappa, alpha) + 1):
-        w = split[x]
-        if w == 0:
-            continue
-        # the pulse draw passes when it holds at least as many high slots
+
+    def term(x):
+        # x high slots land in the pulse bin, whose draw passes on at least as many
         pulse = _draw_pmf(x, alpha - x, r, exact)
         beta_cdf = _draw_tail(kappa - x, beta - (kappa - x), r, exact, False)
         ys = range(max(0, r - (alpha - x)), min(r, x) + 1)
-        terms.append(w * _total((pulse[y] * beta_cdf[y] for y in ys), exact))
-    return _total(terms, exact)
+        return _total((pulse[y] * beta_cdf[y] for y in ys), exact)
+    return _mix(alpha, beta, kappa, exact, term)
+
+
+def _check_appendix(n: int, alpha: int, k: int) -> None:
+    if not 0 <= alpha <= n or n < 1:
+        raise ValueError("need 0 <= alpha <= n with n >= 1")
+    if not 0 <= k <= n:
+        raise ValueError("injection count k must lie in [0, n]")
 
 
 def appendix_prob_delta(n: int, alpha: int, k: int, delta: int, exact: bool = False):
@@ -213,17 +221,12 @@ def appendix_prob_delta(n: int, alpha: int, k: int, delta: int, exact: bool = Fa
     takes a pulse slot from 1 to 4 (+3), as prob_success's audit counts.
     Odd k - delta or |delta| > k is impossible and returns 0.
     """
-    if not 0 <= alpha <= n or n < 1:
-        raise ValueError("need 0 <= alpha <= n with n >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("injection count k must lie in [0, n]")
+    _check_appendix(n, alpha, k)
     if delta > k or delta < -k or (k - delta) % 2:
         return _total((), exact)
     b = (k - delta) // 2
-    # x1 injections hit pulse slots and b of those cancelled
-    hits = _draw_pmf(alpha, n - alpha, k, exact)
-    return _total((hits[x1] * _half_pmf(x1, exact)[b] for x1 in range(b, min(k, alpha) + 1)),
-                  exact)
+    # x injections hit pulse slots and b of those cancelled
+    return _mix(alpha, n - alpha, k, exact, lambda x: _half_pmf(x, exact)[b] if b <= x else 0)
 
 
 def appendix_prob_within_threshold(
@@ -238,14 +241,10 @@ def appendix_prob_within_threshold(
     """
     if not gamma_factor >= 0:  # nan fails too
         raise ValueError("gamma_factor must be >= 0")
-    if not 0 <= alpha <= n or n < 1:
-        raise ValueError("need 0 <= alpha <= n with n >= 1")
-    if not 0 <= k <= n:
-        raise ValueError("injection count k must lie in [0, n]")
-    hi = alpha * (gamma_factor - 1.0)
-    terms = []
-    for delta in range(-k, k + 1, 2):  # k - delta must be even
-        if delta > hi:
-            break
-        terms.append(appendix_prob_delta(n, alpha, k, delta, exact))
-    return _total(terms, exact)
+    _check_appendix(n, alpha, k)
+    # delta = k - 2b is an integer, so it fits the budget exactly when b >= b0;
+    # an inf or nan (alpha 0, gamma_factor inf) budget drops nothing
+    budget = alpha * (gamma_factor - 1.0)
+    b0 = 0 if not isfinite(budget) else (k - floor(budget) + 1) // 2
+    return _mix(alpha, n - alpha, k, exact,
+                lambda x: 1 if b0 <= 0 else (_half_tail(x, b0, exact) if b0 <= x else 0))

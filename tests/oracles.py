@@ -6,7 +6,8 @@ a bug on one side or the other. p_inner, the evade game given where the
 injections landed, has no counterpart in the library: mixed over placements
 and signs it must equal prob_evade_rcv, and success_probability is that
 mixture. The literal_* variants grind over every raw outcome with itertools
-and exist to validate the class-counting versions on tiny instances.
+and exist to validate the class-counting versions on tiny instances, as
+appendix_delta_probability does for the appendix's injected-energy pmf.
 
 The per_x_* references are the exception: they are prob_success and
 prob_noise_pass summed term by term, each x building its own draw terms from
@@ -145,6 +146,20 @@ def literal_noise_pass_probability(alpha: int, beta: int, r: int, kappa: int) ->
                     total += 1
     picks = comb(alpha, r) * comb(beta, r)
     return total / (comb(n, kappa) * picks)
+
+
+def appendix_delta_probability(n: int, alpha: int, k: int, delta: int) -> Fraction:
+    """P(net energy change delta) in the appendix's power-additive game, by raw
+    enumeration: k distinct uniform slots of n, the first alpha holding pulses,
+    each pulse-slot hit cancelling (-1) or not (+1) with equal odds, and every
+    other injection adding 1."""
+    total = Fraction(0)
+    for placement in itertools.combinations(range(n), k):
+        hits = sum(1 for s in placement if s < alpha)
+        for cancels in itertools.product((0, 1), repeat=hits):
+            if k - 2 * sum(cancels) == delta:
+                total += Fraction(1, 2**hits)
+    return total / comb(n, k)
 
 
 def per_x_success(alpha: int, beta: int, r: int, zeta: float, k: int, exact: bool = False):

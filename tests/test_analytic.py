@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (evade_probability, literal_evade_probability,
+from oracles import (appendix_delta_probability, evade_probability, literal_evade_probability,
                      literal_noise_pass_probability, noise_pass_probability,
                      p_inner, per_x_noise_pass, per_x_success, success_probability)
 from uwblab import analytic
@@ -205,6 +205,48 @@ def test_appendix_threshold_monotone():
     assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
     # once the budget swallows every possible gain the bound is certain
     assert appendix_prob_within_threshold(20, 8, 10, 2.5) == pytest.approx(1.0)
+
+
+@cache
+def _appendix_pmf(n, alpha, k):
+    return {d: appendix_delta_probability(n, alpha, k, d) for d in range(-k - 1, k + 2)}
+
+
+def test_appendix_matches_literal_enumeration():
+    inf = float("inf")
+    for n in range(1, 8):
+        for alpha in range(n + 1):
+            for k in range(n + 1):
+                pmf = _appendix_pmf(n, alpha, k)
+                for d, p in pmf.items():
+                    assert appendix_prob_delta(n, alpha, k, d, exact=True) == p, (n, alpha, k, d)
+                for g in (0.0, 0.5, 1.0, 1.2, 1.4, 1.5, 2.5, inf):
+                    # the budget in exact rationals of the float gamma; inf bounds nothing
+                    keep = sum((p for d, p in pmf.items()
+                                if g == inf or d <= alpha * (Fraction(g) - 1)), Fraction(0))
+                    assert appendix_prob_within_threshold(n, alpha, k, g, exact=True) == keep, \
+                        (n, alpha, k, g)
+
+
+def test_appendix_threshold_float_budget_boundary():
+    # 50 (1.2 - 1) rounds below 10, so the budget drops delta = 10 (ROADMAP direction 11)
+    assert 50 * (1.2 - 1.0) == 9.999999999999998
+    below_10 = sum(appendix_prob_delta(150, 50, 10, d, exact=True) for d in range(-10, 9))
+    assert appendix_prob_delta(150, 50, 10, 10, exact=True) > 0
+    assert appendix_prob_within_threshold(150, 50, 10, 1.2, exact=True) == below_10
+    assert abs(appendix_prob_within_threshold(150, 50, 10, 1.2) - 0.842394916058) <= 1e-12
+    # alpha 0 makes the budget 0 * inf = nan, which drops nothing
+    for n, k in ((1, 0), (1, 1), (12, 7), (150, 50)):
+        assert appendix_prob_within_threshold(n, 0, k, float("inf"), exact=True) == 1
+
+
+def test_appendix_threshold_is_one_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analytic, "appendix_prob_delta", lambda *args: calls.append(args) or 0.0)
+    _clear_caches()
+    appendix_prob_within_threshold(150, 50, 50, 1.5)
+    info = analytic._draw_pmf.cache_info()
+    assert calls == [] and (info.hits, info.misses) == (0, 1)
 
 
 # the overlay of `uwblab validate`: alpha 50, beta 50 and 150, r 1, 2 and 8
